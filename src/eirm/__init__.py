@@ -34,6 +34,7 @@ from .game import (
     CROSS_ENTROPY,
     FIXED_PHI,
     SQUARED,
+    Loss,
     VARIABLE_PHI,
     EnsembleModel,
     TerminationMonitor,
@@ -46,7 +47,6 @@ from .game import (
     env_turn,
     evaluate,
     phi_turn,
-    predictions,
     spurious_correlation,
 )
 from .baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax

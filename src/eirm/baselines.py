@@ -15,20 +15,16 @@ from . import nn
 from .core import Rng
 from .datasets import EnvironmentDataset
 from .game import (
-    CROSS_ENTROPY,
+    FIXED_PHI,
     EnsembleModel,
+    Loss,
     TerminationRule,
+    TraceRecorder,
     TrainConfig,
     TrainTrace,
-    TraceRecord,
     _Batcher,
-    _env_xy,
-    _loss_grad,
-    _risk,
     best_response_train,
-    ensemble_logits,
-    evaluate,
-    pearson,
+    build_ensemble,
 )
 
 
@@ -74,23 +70,12 @@ def train_robust_minmax(envs, config: TrainConfig, test_env=None):
     """
     if len(envs) < 2:
         raise ValueError("robust min-max needs at least 2 environments")
-    loss = config.loss
+    loss = Loss(config.loss)
     rng = Rng(config.seed)
-    data = [_env_xy(env, loss) for env in envs]
-    pooled_x = np.vstack([x for x, _ in data])
-    pooled_y = np.concatenate([y for _, y in data])
-    env_slices = []
-    lo_row = 0
-    for x, _ in data:
-        env_slices.append(slice(lo_row, lo_row + x.shape[0]))
-        lo_row += x.shape[0]
-    bits = [getattr(env, "spurious_bits", None) for env in envs]
-    pooled_bits = np.concatenate(bits) if all(b is not None for b in bits) else None
-
-    from .game import build_ensemble  # single classifier, shared init path
-
-    wrapper = build_ensemble(envs[:1], config, "fixed_phi", rng.child("init"))
-    model = wrapper.classifiers[0]
+    recorder = TraceRecorder(envs, loss, test_env, config.test_every)
+    data = recorder.data
+    # a single classifier on the game's initialization path
+    model = build_ensemble(envs[:1], config, FIXED_PHI, rng.child("init")).classifiers[0]
     opt = nn.AdamState.for_params(model.parameters(), lr=config.lr)
     batchers = [
         _Batcher(x.shape[0], config.batch_size, rng.child(f"batch{e}"))
@@ -100,45 +85,17 @@ def train_robust_minmax(envs, config: TrainConfig, test_env=None):
 
     trace = TrainTrace()
     for step in range(1, config.max_iters + 1):
-        losses, caches, grads_inputs = [], [], []
+        turns = []  # (risk, outputs, targets, cache) per environment
         for e, (x, y) in enumerate(data):
             idx = batchers[e].next()
-            bx, by = x[idx], y[idx]
             out, cache = nn.forward(
-                model, bx, train_mode=True, rng=drop_rng.child(f"s{step}e{e}")
+                model, x[idx], train_mode=True, rng=drop_rng.child(f"s{step}e{e}")
             )
-            losses.append(_risk(out, by, loss) + nn.regularization_loss(model))
-            caches.append(cache)
-            grads_inputs.append((out, by))
-        worst = int(np.argmax(losses))  # argmax takes the first max: lowest index
-        out, by = grads_inputs[worst]
-        dlogits = _loss_grad(out, by, loss)
-        grads, _ = nn.backward(model, caches[worst], dlogits)
+            risk = loss.risk(out, y[idx]) + nn.regularization_loss(model)
+            turns.append((risk, out, y[idx], cache))
+        # argmax takes the first max: ties go to the lowest index
+        _, out, by, cache = turns[int(np.argmax([t[0] for t in turns]))]
+        grads, _ = nn.backward(model, cache, loss.grad(out, by))
         nn.adam_step(opt, model.parameters(), grads)
-
-        ens = as_ensemble(model)
-        out_all = ensemble_logits(ens, pooled_x)
-        acc = (
-            float(np.mean(np.argmax(out_all, axis=1) == pooled_y))
-            if loss == CROSS_ENTROPY
-            else float("nan")
-        )
-        risks, accs = [], []
-        for sl, (_, y) in zip(env_slices, data):
-            risks.append(_risk(out_all[sl], y, loss))
-            accs.append(
-                float(np.mean(np.argmax(out_all[sl], axis=1) == y))
-                if loss == CROSS_ENTROPY else float("nan")
-            )
-        if pooled_bits is not None and loss == CROSS_ENTROPY:
-            preds = np.argmax(out_all, axis=1).astype(np.float64)
-            corr = pearson(preds, pooled_bits)
-        else:
-            corr = float("nan")
-        test_acc = None
-        if test_env is not None and step % config.test_every == 0:
-            test_acc = evaluate(ens, test_env, loss)["accuracy"]
-        trace.append(
-            TraceRecord(step, "robust", acc, risks, accs, corr, [corr], test_acc)
-        )
+        trace.append(recorder.record(as_ensemble(model), step, "robust")[0])
     return model, trace

@@ -24,24 +24,25 @@ from .datasets import (
     BENCHMARKS,
     DEFAULT_FLIP_PROBS,
     make_benchmark,
+    make_linear_sem,
     save_environment,
 )
 from .game import (
     FIXED_PHI,
+    SQUARED,
     VARIABLE_PHI,
+    EnsembleModel,
     TerminationRule,
     TrainConfig,
     best_response_train,
     evaluate,
 )
-from .sem_game import default_sem_spec, train_sem_game
+from .sem_game import causal_projection, default_sem_spec, train_sem_game
 from .theory import QuadGameSpec, bounded_linear_ne, scalar_game_grid, verify_invariance, verify_nash
-from .core import Rng
+from .core import FormatError, Rng
 from . import nn
 
 METHODS = ("F_IRM", "V_IRM", "ERM", "ERM_PER_ENV", "ROBUST", "ORACLE")
-
-TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
 
 
 class ConfigError(ValueError):
@@ -87,30 +88,50 @@ def load_config(path, preset: str = None) -> ExperimentConfig:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
-    cfg = ExperimentConfig()
-    train_raw = raw.pop("train", {})
-    for key, value in raw.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"{key}: unknown config field")
-        if isinstance(getattr(cfg, key), tuple) and isinstance(value, list):
-            value = tuple(value)
-        setattr(cfg, key, value)
-    term_raw = train_raw.pop("termination", {})
-    unknown = set(train_raw) - TRAIN_FIELDS
-    if unknown:
-        raise ConfigError(f"train.{sorted(unknown)[0]}: unknown field")
-    for key in ("hidden_dims", "phi_hidden_dims"):
-        if key in train_raw:
-            train_raw[key] = tuple(train_raw[key])
-    cfg.train = dataclasses.replace(cfg.train, **train_raw)
-    if term_raw:
-        cfg.train = dataclasses.replace(
-            cfg.train, termination=TerminationRule(**term_raw)
-        )
+    cfg = _from_json(ExperimentConfig, raw, "")
     if preset:
         apply_preset(cfg, preset)
     cfg.validate()
     return cfg
+
+
+_JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _fits(value, kind: str) -> bool:
+    """Whether a JSON value fits a field annotated kind; the dataclass checks the rest."""
+    return isinstance(value, _JSON_TYPES.get(kind, object)) and not (
+        isinstance(value, bool) and kind != "bool"
+    )
+
+
+def _from_json(cls, raw, prefix: str):
+    """Build the config dataclass cls from a JSON object, naming any bad field.
+
+    JSON types follow the annotations; list items follow the default's items.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        name, f = prefix + key, fields.get(key)
+        if f is None:
+            raise ConfigError(f"{name}: unknown field")
+        if dataclasses.is_dataclass(f.default_factory):
+            value = _from_json(f.default_factory, value, name + ".")
+        elif f.type == "tuple":
+            kind = type(f.default[0]).__name__
+            if not isinstance(value, list) or not all(_fits(v, kind) for v in value):
+                raise ConfigError(f"{name}: expected a list of {kind}, got {value!r}")
+            value = tuple(value)
+        elif not (value is None and f.default is None or _fits(value, f.type)):
+            raise ConfigError(f"{name}: expected {f.type}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def apply_preset(cfg: ExperimentConfig, preset: str) -> None:
@@ -233,7 +254,7 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
                 results.setdefault(label, []).append((train_acc, test_acc))
     _write_table(results, out)
     manifest = {
-        "config": _config_dict(cfg),
+        "config": dataclasses.asdict(cfg),
         "seeds": seeds,
         "version": __version__,
         "wall_time_s": round(time.time() - t0, 3),
@@ -241,11 +262,6 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
     with open(os.path.join(out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=2)
     return results
-
-
-def _config_dict(cfg: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    return d
 
 
 def _stats(pairs):
@@ -322,12 +338,7 @@ def cmd_theory(args) -> int:
     # nash / invariance run against the linear-SEM scenario
     if args.checkpoints:
         spec = default_sem_spec()
-        from .datasets import make_linear_sem
-
         envs, gamma = make_linear_sem(spec, Rng(args.seed).child("sem-data"))
-        from .game import EnsembleModel
-        from .sem_game import causal_projection
-
         classifiers = [nn.load_model(p) for p in args.checkpoints]
         model = EnsembleModel(
             classifiers,
@@ -339,12 +350,12 @@ def cmd_theory(args) -> int:
     if args.sub == "nash":
         report = verify_nash(
             model, envs, deviation_budget=args.budget, eps=args.eps,
-            loss="squared", lr=2e-2, seed=args.seed,
+            loss=SQUARED, lr=2e-2, seed=args.seed,
         )
     else:
         report = verify_invariance(
             model, envs, n_perturb=args.samples, eps=args.eps,
-            rng=Rng(args.seed), loss="squared", lr=2e-2,
+            rng=Rng(args.seed), loss=SQUARED, lr=2e-2,
         )
     _write_report(report.to_kv(), report.to_text(), report_path)
     return 0 if report.passed else 1
@@ -413,7 +424,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

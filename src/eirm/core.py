@@ -8,6 +8,7 @@ the handful of primitives in this module. All public operations work on
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -20,6 +21,31 @@ class ShapeError(ValueError):
 
 class FormatError(ValueError):
     """Raised when a binary file does not match its declared format."""
+
+
+class BinaryReader:
+    """Reads a binary file's fields in order; a read past the end raises FormatError."""
+
+    def __init__(self, data: bytes, name):
+        self.data = data
+        self.name = name
+        self.pos = 0
+
+    def _take(self, n: int) -> int:
+        if n > len(self.data) - self.pos:
+            raise FormatError(
+                f"{self.name}: truncated at byte {len(self.data)}, "
+                f"{n} bytes needed at byte {self.pos}"
+            )
+        self.pos += n
+        return self.pos - n
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype, count, self._take(dtype.itemsize * count))
 
 
 def as_matrix(x) -> np.ndarray:

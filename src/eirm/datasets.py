@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FormatError, Rng
+from .core import BinaryReader, FormatError, Rng
 
 IDX_MAGIC_LABELS = 0x00000801
 IDX_MAGIC_IMAGES = 0x00000803
@@ -337,19 +337,19 @@ def save_environment(env: EnvironmentDataset, path) -> None:
 
 def load_environment(path) -> EnvironmentDataset:
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CACHE_MAGIC:
-        raise FormatError(f"bad cache magic at byte 0: {data[:4]!r}")
-    version, n, d, p_e = struct.unpack_from("<IQQd", data, 4)
+        reader = BinaryReader(f.read(), path)
+    (magic,) = reader.unpack("4s")
+    if magic != CACHE_MAGIC:
+        raise FormatError(f"bad cache magic at byte 0: {magic!r}")
+    version, n, d, p_e = reader.unpack("<IQQd")
     if version != CACHE_VERSION:
         raise FormatError(f"unsupported cache version {version}")
-    (id_len,) = struct.unpack_from("<H", data, 32)
-    off = 34
-    env_id = data[off : off + id_len].decode("utf-8")
-    off += id_len
-    features = np.frombuffer(data, "<f8", n * d, off).reshape(n, d).copy()
-    off += 8 * n * d
-    labels = np.frombuffer(data, "<i8", n, off).copy()
-    off += 8 * n
-    bits = np.frombuffer(data, "u1", n, off).astype(np.int64)
+    (id_len,) = reader.unpack("<H")
+    try:
+        env_id = reader.unpack(f"{id_len}s")[0].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: environment id is not UTF-8 ({exc})") from exc
+    features = reader.array("<f8", n * d).reshape(n, d).copy()
+    labels = reader.array("<i8", n).copy()
+    bits = reader.array("u1", n).astype(np.int64)
     return EnvironmentDataset(features, labels, bits, env_id, p_e)

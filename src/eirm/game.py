@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -22,8 +23,62 @@ from .core import Rng, ShapeError, cross_entropy, mean_squared_error, pearson, s
 FIXED_PHI = "fixed_phi"
 VARIABLE_PHI = "variable_phi"
 
-CROSS_ENTROPY = "cross_entropy"
-SQUARED = "squared"
+
+class Loss(str, Enum):
+    """The training loss; its value is the name configs and manifests carry.
+
+    Every choice that depends on the loss is made here. Public entry points
+    take a member or its string value.
+    """
+
+    CROSS_ENTROPY = "cross_entropy"
+    SQUARED = "squared"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"loss must be one of {[m.value for m in cls]}, got {value!r}")
+
+    def targets(self, env) -> np.ndarray:
+        if self is Loss.SQUARED:
+            return np.asarray(env.targets, dtype=np.float64)
+        return np.asarray(env.labels)
+
+    def risk(self, out: np.ndarray, y: np.ndarray) -> float:
+        if self is Loss.SQUARED:
+            return mean_squared_error(out, y.reshape(out.shape))
+        return cross_entropy(softmax_rows(out), y)
+
+    def grad(self, out: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Gradient of the mean risk with respect to the outputs."""
+        if self is Loss.SQUARED:
+            return 2.0 * (out - y.reshape(out.shape)) / out.shape[0]
+        return nn.loss_grad_logits(softmax_rows(out), y)
+
+    def predictions(self, out: np.ndarray) -> np.ndarray:
+        return out.ravel() if self is Loss.SQUARED else np.argmax(out, axis=1)
+
+    def accuracy(self, out: np.ndarray, y: np.ndarray) -> float:
+        """Argmax accuracy, ties to class 0; NaN for squared loss."""
+        if self is Loss.SQUARED:
+            return float("nan")
+        return float(np.mean(np.argmax(out, axis=1) == y))
+
+    def monitored(self, out: np.ndarray, y: np.ndarray) -> float:
+        """The termination monitor's value: accuracy, or -risk for squared loss."""
+        return -self.risk(out, y) if self is Loss.SQUARED else self.accuracy(out, y)
+
+    def spurious_correlation(self, out: np.ndarray, bits) -> float:
+        """Correlation of the argmax predictions with bits; NaN for squared loss."""
+        if self is Loss.SQUARED or bits is None:
+            return float("nan")
+        return pearson(self.predictions(out).astype(np.float64), bits)
+
+    def output_dim(self, n_classes: int) -> int:
+        return 1 if self is Loss.SQUARED else n_classes
+
+
+CROSS_ENTROPY = Loss.CROSS_ENTROPY
+SQUARED = Loss.SQUARED
 
 
 @dataclass
@@ -98,10 +153,6 @@ class TerminationMonitor:
         return accuracy <= float(np.quantile(self.window, self.quantile))
 
 
-def should_terminate(monitor: TerminationMonitor, accuracy: float, step: int) -> bool:
-    return monitor.observe(accuracy, step)
-
-
 @dataclass
 class TrainConfig:
     lr: float = 2.5e-4
@@ -111,7 +162,7 @@ class TrainConfig:
     max_iters: int = 500
     termination: TerminationRule = field(default_factory=TerminationRule)
     seed: int = 0
-    loss: str = CROSS_ENTROPY
+    loss: Loss = CROSS_ENTROPY  # a Loss member or its string value
     # architecture used when best_response_train builds the model itself
     hidden_dims: tuple = (390, 390)
     phi_hidden_dims: tuple = (390,)
@@ -128,6 +179,7 @@ class TrainConfig:
         for name in ("batch_size", "steps_per_turn", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        self.loss = Loss(self.loss)
 
 
 @dataclass
@@ -175,28 +227,60 @@ class TrainTrace:
                 row = [str(r.step), r.turn_owner, fmt(r.ens_train_acc)]
                 row += [fmt(v) for v in r.env_risks]
                 row += [fmt(r.ens_spur_corr)]
+                # a model with fewer classifiers than environments leaves the
+                # remaining w{k}_spur_corr cells blank
                 row += [fmt(v) for v in r.w_spur_corrs]
+                row += [""] * (n_envs - len(r.w_spur_corrs))
                 row += [fmt(r.test_acc)]
                 f.write(",".join(row) + "\n")
 
 
-def _env_xy(env, loss: str):
-    if loss == SQUARED:
-        return env.features, np.asarray(env.targets, dtype=np.float64)
-    return env.features, np.asarray(env.labels)
+class TraceRecorder:
+    """Full-data diagnostics of one training call, one trace row per model state.
 
+    Built once per call: it pools the environments' features, targets and
+    spurious bits and keeps each environment's row slice of the pool, so
+    every row costs one representation pass and one pass per classifier.
+    The forward passes run from this method, not from a public function,
+    so profilers see them as direct children of the training call.
+    """
 
-def _loss_grad(ens_out: np.ndarray, y: np.ndarray, loss: str) -> np.ndarray:
-    if loss == SQUARED:
-        target = y.reshape(ens_out.shape)
-        return 2.0 * (ens_out - target) / ens_out.shape[0]
-    return nn.loss_grad_logits(softmax_rows(ens_out), y)
+    def __init__(self, envs, loss, test_env, test_every: int):
+        self.loss = Loss(loss)
+        self.data = [(env.features, self.loss.targets(env)) for env in envs]
+        self.features = np.vstack([x for x, _ in self.data])
+        self.targets = np.concatenate([y for _, y in self.data])
+        bits = [getattr(env, "spurious_bits", None) for env in envs]
+        self.bits = np.concatenate(bits) if all(b is not None for b in bits) else None
+        bounds = np.cumsum([0] + [x.shape[0] for x, _ in self.data])
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.test_env = test_env
+        self.test_every = test_every
 
-
-def _risk(ens_out: np.ndarray, y: np.ndarray, loss: str) -> float:
-    if loss == SQUARED:
-        return mean_squared_error(ens_out, y.reshape(ens_out.shape))
-    return cross_entropy(softmax_rows(ens_out), y)
+    def record(self, model: EnsembleModel, step: int, owner: str, monitor=None):
+        """Returns (TraceRecord, whether monitor fired) for the model's current state."""
+        loss = self.loss
+        z = model.represent(self.features)
+        clf_outs = [nn.forward(clf, z, train_mode=False)[0] for clf in model.classifiers]
+        out = sum(clf_outs) / model.n_envs
+        env_outs = [(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)]
+        test_acc = None
+        if self.test_env is not None and step % self.test_every == 0:
+            test_acc = evaluate(model, self.test_env, loss)["accuracy"]
+        rec = TraceRecord(
+            step,
+            owner,
+            loss.accuracy(out, self.targets),
+            [loss.risk(o, y) for o, y in env_outs],
+            [loss.accuracy(o, y) for o, y in env_outs],
+            loss.spurious_correlation(out, self.bits),
+            [loss.spurious_correlation(o, self.bits) for o in clf_outs],
+            test_acc,
+        )
+        # observe before the pooled outputs are freed: freeing them first let glibc
+        # trim and re-fault the heap top on every turn (SEM game training 40% slower)
+        fired = monitor is not None and monitor.observe(loss.monitored(out, self.targets), step)
+        return rec, fired
 
 
 class _Batcher:
@@ -238,7 +322,7 @@ def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
             cache_e = cache
         outputs.append(out)
     ens = sum(outputs) / model.n_envs
-    dlogits = _loss_grad(ens, batch_y, loss) / model.n_envs
+    dlogits = Loss(loss).grad(ens, batch_y) / model.n_envs
     grads, _ = nn.backward(model.classifiers[e], cache_e, dlogits)
     nn.adam_step(opt, model.classifiers[e].parameters(), grads)
 
@@ -265,7 +349,7 @@ def phi_turn(model: EnsembleModel, env_batches, opt: nn.AdamState,
             outputs.append(out)
             caches.append(cache)
         ens = sum(outputs) / model.n_envs
-        dlogits = _loss_grad(ens, y, loss) / model.n_envs
+        dlogits = Loss(loss).grad(ens, y) / model.n_envs
         dz = np.zeros_like(z)
         for clf, cache in zip(model.classifiers, caches):
             _, dinput = nn.backward(clf, cache, dlogits)
@@ -276,44 +360,24 @@ def phi_turn(model: EnsembleModel, env_batches, opt: nn.AdamState,
     nn.adam_step(opt, phi.parameters(), total)
 
 
-def predictions(model: EnsembleModel, features: np.ndarray,
-                loss: str = CROSS_ENTROPY) -> np.ndarray:
-    out = ensemble_logits(model, features)
-    if loss == SQUARED:
-        return out.ravel()
-    return np.argmax(out, axis=1)
-
-
 def evaluate(model: EnsembleModel, dataset, loss: str = CROSS_ENTROPY) -> dict:
     """Accuracy (argmax, ties to class 0) and mean risk, inference mode."""
-    x, y = _env_xy(dataset, loss)
-    out = ensemble_logits(model, x)
-    risk = _risk(out, y, loss)
-    if loss == SQUARED:
-        return {"accuracy": float("nan"), "risk": risk}
-    acc = float(np.mean(np.argmax(out, axis=1) == y))
-    return {"accuracy": acc, "risk": risk}
+    loss = Loss(loss)
+    out = ensemble_logits(model, dataset.features)
+    y = loss.targets(dataset)
+    return {"accuracy": loss.accuracy(out, y), "risk": loss.risk(out, y)}
 
 
 def spurious_correlation(model: EnsembleModel, dataset,
                          loss: str = CROSS_ENTROPY) -> float:
     """Pearson correlation between hard predictions and the spurious bit."""
-    preds = predictions(model, dataset.features, loss)
-    return pearson(preds.astype(np.float64), dataset.spurious_bits)
-
-
-def _classifier_correlations(model: EnsembleModel, features, bits) -> list:
-    z = model.represent(features)
-    corrs = []
-    for clf in model.classifiers:
-        logits, _ = nn.forward(clf, z, train_mode=False)
-        corrs.append(pearson(np.argmax(logits, axis=1).astype(np.float64), bits))
-    return corrs
+    out = ensemble_logits(model, dataset.features)
+    return Loss(loss).spurious_correlation(out, dataset.spurious_bits)
 
 
 def build_ensemble(envs, config: TrainConfig, mode: str, rng: Rng) -> EnsembleModel:
     in_dim = envs[0].features.shape[1]
-    out_dim = 1 if config.loss == SQUARED else config.n_classes
+    out_dim = Loss(config.loss).output_dim(config.n_classes)
     representation = None
     clf_in = in_dim
     if mode == VARIABLE_PHI:
@@ -361,20 +425,12 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     if model is None:
         model = build_ensemble(envs, config, mode, rng.child("init"))
     loss = config.loss
+    recorder = TraceRecorder(envs, loss, test_env, config.test_every)
+    data = recorder.data
 
-    data = [_env_xy(env, loss) for env in envs]
-    pooled_x = np.vstack([x for x, _ in data])
-    pooled_y = np.concatenate([y for _, y in data])
-    pooled_bits = (
-        np.concatenate([env.spurious_bits for env in envs])
-        if getattr(envs[0], "spurious_bits", None) is not None
-        else None
-    )
-
-    n_pooled = pooled_x.shape[0]
     warm = config.warm_start_steps
     if warm is None:
-        warm = max(1, n_pooled // config.batch_size)
+        warm = max(1, recorder.features.shape[0] // config.batch_size)
     rule = config.termination
     min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
     monitor = TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
@@ -396,60 +452,15 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
 
     trace = TrainTrace()
     step = 0
-    stop = False
-
-    env_sizes = [x.shape[0] for x, _ in data]
-    env_slices = []
-    lo_row = 0
-    for size in env_sizes:
-        env_slices.append(slice(lo_row, lo_row + size))
-        lo_row += size
 
     def record(owner: str) -> bool:
         nonlocal step
         step += 1
-        # one representation pass and one pass per classifier cover every
-        # diagnostic below, so full-data traces stay cheap per turn
-        z = model.represent(pooled_x)
-        clf_outs = [nn.forward(clf, z, train_mode=False)[0]
-                    for clf in model.classifiers]
-        out = sum(clf_outs) / model.n_envs
-        if loss == SQUARED:
-            acc = float("nan")
-            monitored = -_risk(out, pooled_y, loss)
-        else:
-            acc = float(np.mean(np.argmax(out, axis=1) == pooled_y))
-            monitored = acc
-        risks, accs = [], []
-        for sl, (_, y) in zip(env_slices, data):
-            risks.append(_risk(out[sl], y, loss))
-            accs.append(
-                float(np.mean(np.argmax(out[sl], axis=1) == y))
-                if loss != SQUARED else float("nan")
-            )
-        if pooled_bits is not None and loss != SQUARED:
-            preds = np.argmax(out, axis=1).astype(np.float64)
-            ens_corr = pearson(preds, pooled_bits)
-            w_corrs = [
-                pearson(np.argmax(o, axis=1).astype(np.float64), pooled_bits)
-                for o in clf_outs
-            ]
-        else:
-            ens_corr = float("nan")
-            w_corrs = [float("nan")] * model.n_envs
-        test_acc = None
-        if test_env is not None and step % config.test_every == 0:
-            test_acc = evaluate(model, test_env, loss)["accuracy"]
-        trace.append(
-            TraceRecord(step, owner, acc, risks, accs, ens_corr, w_corrs, test_acc)
-        )
-        fired = monitor.observe(monitored, step)
-        return rule.enabled and fired
+        rec, fired = recorder.record(model, step, trace_owner or owner, monitor)
+        trace.append(rec)
+        return fired and rule.enabled
 
-    owner_prefix = trace_owner
     for _ in range(config.max_iters):
-        if stop:
-            break
         if mode == VARIABLE_PHI:
             for _ in range(config.steps_per_turn):
                 env_batches = []
@@ -458,16 +469,14 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
                     env_batches.append((x[idx], y[idx]))
                 phi_turn(model, env_batches, phi_opt,
                          rng=drop_rng.child(f"phi{step}"), loss=loss)
-            if record(owner_prefix or "phi"):
-                stop = True
-                continue
+            if record("phi"):
+                return model, trace
         for e in range(model.n_envs):
             for k in range(config.steps_per_turn):
                 idx = batchers[e].next()
                 x, y = data[e]
                 env_turn(model, e, x[idx], y[idx], opts[e],
                          rng=drop_rng.child(f"env{e}_{step}_{k}"), loss=loss)
-            if record(owner_prefix or f"env{e}"):
-                stop = True
-                break
+            if record(f"env{e}"):
+                return model, trace
     return model, trace

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Rng, ShapeError, FormatError, cross_entropy, softmax_rows
+from .core import BinaryReader, FormatError, Rng, ShapeError, cross_entropy, softmax_rows
 
 ELU_ALPHA = 1.0
 
@@ -323,21 +323,25 @@ def save_model(net: Mlp, path) -> None:
 
 def load_model(path) -> Mlp:
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at byte 0: {data[:4]!r}")
-    version, n_layers = struct.unpack_from("<II", data, 4)
+        reader = BinaryReader(f.read(), path)
+    (magic,) = reader.unpack("4s")
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"bad checkpoint magic at byte 0: {magic!r}")
+    version, n_layers = reader.unpack("<II")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    off = 12
+    if n_layers < 1:
+        raise FormatError(f"{path}: checkpoint has no layers")
     layers = []
-    for _ in range(n_layers):
-        n_in, n_out, act, l2, drop = struct.unpack_from("<5d", data, off)
-        off += 40
+    for i in range(n_layers):
+        n_in, n_out, act, l2, drop = reader.unpack("<5d")
+        if act not in _ACT_NAME or not all(v.is_integer() and v >= 0 for v in (n_in, n_out)):
+            raise FormatError(f"{path}: layer {i} has dims {n_in} x {n_out}, activation code {act}")
         n_in, n_out = int(n_in), int(n_out)
-        w = np.frombuffer(data, "<f8", n_in * n_out, off).reshape(n_in, n_out)
-        off += 8 * n_in * n_out
-        b = np.frombuffer(data, "<f8", n_out, off)
-        off += 8 * n_out
-        layers.append(DenseLayer(w.copy(), b.copy(), _ACT_NAME[act], l2, drop))
-    return Mlp(layers)
+        w = reader.array("<f8", n_in * n_out).reshape(n_in, n_out)
+        b = reader.array("<f8", n_out)
+        layers.append((w.copy(), b.copy(), _ACT_NAME[act], l2, drop))
+    try:
+        return Mlp([DenseLayer(*fields) for fields in layers])
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -18,14 +18,7 @@ import numpy as np
 
 from . import nn
 from .core import Rng
-from .game import (
-    EnsembleModel,
-    _env_xy,
-    _loss_grad,
-    _risk,
-    ensemble_logits,
-    env_turn,
-)
+from .game import CROSS_ENTROPY, EnsembleModel, Loss, ensemble_logits, env_turn
 
 
 @dataclass
@@ -59,10 +52,6 @@ class QuadGameSpec:
     @property
     def n_points(self) -> int:
         return 2 * int(round(self.hi / self.step)) + 1
-
-    def grid(self) -> np.ndarray:
-        k = self.half_count
-        return np.arange(-k, k + 1) * self.step
 
     def risk(self, e: int, v) -> np.ndarray:
         return self.curvatures[e] * (np.asarray(v) - self.minimizers[e]) ** 2 + self.offsets[e]
@@ -215,9 +204,8 @@ class DeviationReport:
         return "\n".join(lines)
 
 
-def _full_risk(model: EnsembleModel, env, loss: str) -> float:
-    x, y = _env_xy(env, loss)
-    return _risk(ensemble_logits(model, x), y, loss)
+def _full_risk(model: EnsembleModel, env, loss: Loss) -> float:
+    return loss.risk(ensemble_logits(model, env.features), loss.targets(env))
 
 
 def verify_nash(
@@ -225,7 +213,7 @@ def verify_nash(
     envs,
     deviation_budget: int = 500,
     eps: float = 1e-3,
-    loss: str = "cross_entropy",
+    loss: str = CROSS_ENTROPY,
     lr: float = 2.5e-4,
     batch_size: int = 256,
     seed: int = 0,
@@ -239,11 +227,12 @@ def verify_nash(
     """
     if deviation_budget < 100:
         raise ValueError("deviation budget must be at least 100 steps")
+    loss = Loss(loss)
     rng = Rng(seed)
     eval_every = max(1, deviation_budget // 20)
     entries = []
     for e, env in enumerate(envs):
-        x, y = _env_xy(env, loss)
+        x, y = env.features, loss.targets(env)
         before = _full_risk(model, env, loss)
         clone = model.classifiers[e].copy()
         trial = EnsembleModel(
@@ -322,7 +311,7 @@ def verify_invariance(
     n_perturb: int = 100,
     eps: float = 1e-3,
     rng: Rng = None,
-    loss: str = "cross_entropy",
+    loss: str = CROSS_ENTROPY,
     retrain_steps: int = 50,
     lr: float = 2.5e-4,
 ) -> InvarianceReport:
@@ -335,6 +324,7 @@ def verify_invariance(
     """
     if n_perturb < 100:
         raise ValueError("need at least 100 perturbation samples")
+    loss = Loss(loss)
     rng = rng or Rng(0)
     avg = average_classifier(model)
     avg_model = EnsembleModel([avg], model.representation, "fixed_phi")
@@ -352,7 +342,7 @@ def verify_invariance(
                 p += noise.normal(scale=scale * max(rms, 1e-12), size=p.shape)
             candidates.append(cand)
     for e, env in enumerate(envs):
-        x, y = _env_xy(env, loss)
+        x, y = env.features, loss.targets(env)
         cand = avg.copy()
         opt = nn.AdamState.for_params(cand.parameters(), lr=lr)
         batch_rng = rng.child(f"retrain{e}")
@@ -361,7 +351,7 @@ def verify_invariance(
             idx = batch_rng.integers(0, x.shape[0], size=bs)
             z = model.represent(x[idx])
             out, cache = nn.forward(cand, z, train_mode=False)
-            grads, _ = nn.backward(cand, cache, _loss_grad(out, y[idx], loss))
+            grads, _ = nn.backward(cand, cache, loss.grad(out, y[idx]))
             nn.adam_step(opt, cand.parameters(), grads)
         candidates.append(cand)
 

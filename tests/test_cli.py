@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from eirm.cli import ConfigError, load_config, main
+from eirm import nn
+from eirm.cli import METHODS, ConfigError, load_config, main
+from eirm.core import Rng
 from eirm.datasets import load_environment
+from eirm.game import TrainConfig
 
 
 def _write_config(tmp_path, **overrides):
@@ -56,6 +59,25 @@ def test_run_traces_are_byte_identical_across_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_run_trace_rows_fill_the_header(tmp_path):
+    # single-classifier ROBUST writes w0_spur_corr and leaves w1 blank, so
+    # test_acc stays in the last column
+    cfg = _write_config(tmp_path, methods=list(METHODS))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    traces = sorted(out.glob("trace_*.csv"))
+    assert len(traces) == 7
+    for path in traces:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+    lines = (out / "trace_ROBUST_seed0.csv").read_text().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    for row in rows:
+        assert row["w0_spur_corr"] == row["ens_spur_corr"] != ""
+        assert row["w1_spur_corr"] == ""
+    assert rows[9]["test_acc"] != ""
+
+
 def test_run_seed_offset_changes_results(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -64,6 +86,14 @@ def test_run_seed_offset_changes_results(tmp_path):
     t1 = (out1 / "trace_F_IRM_seed0.csv").exists()
     t2 = (out2 / "trace_F_IRM_seed5.csv").exists()
     assert t1 and t2
+
+
+BAD_CONFIGS = [
+    ({"n_seeds": "3"}, "n_seeds"),
+    ({"sizes": "abc"}, "sizes"),
+    ({"train": {"termination": {"bogus": 1}}}, "train.termination.bogus"),
+    ({"train": {"loss": "mse"}}, "train.loss"),
+]
 
 
 def test_config_validation_names_the_field(tmp_path):
@@ -80,12 +110,27 @@ def test_config_validation_names_the_field(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+    for raw, field in BAD_CONFIGS:
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=field):
+            load_config(path)
+    with pytest.raises(ValueError, match="loss"):
+        TrainConfig(loss="mse")
 
 
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"benchmark": "NOPE"}))
-    assert main(["run", str(path)]) == 2
+    for raw in [{"benchmark": "NOPE"}, *(raw for raw, _ in BAD_CONFIGS)]:
+        path.write_text(json.dumps(raw))
+        assert main(["run", str(path)]) == 2
+
+
+def test_truncated_checkpoint_exit_code(tmp_path, capsys):
+    path = tmp_path / "clf.eirm"
+    nn.save_model(nn.make_mlp((3, 1), Rng(0)), path)
+    path.write_bytes(path.read_bytes()[:30])
+    assert main(["theory", "nash", "--checkpoints", str(path), str(path)]) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_missing_idx_corpus_is_a_config_error(tmp_path, monkeypatch):

@@ -207,6 +207,20 @@ def test_environment_cache_bad_magic(tmp_path):
         load_environment(p)
 
 
+def test_environment_cache_truncated_is_format_error(tmp_path):
+    env = EnvironmentDataset(
+        np.arange(12.0).reshape(4, 3), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 1]),
+        "env7", 0.3,
+    )
+    path = tmp_path / "env.eenv"
+    save_environment(env, path)
+    raw = path.read_bytes()
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            load_environment(path)
+
+
 def test_linear_sem_recovers_gamma_by_ols():
     gamma = np.array([1.0, -0.5, 0.25])
     spec = SemSpec(3, 2, gamma, [1.0, -0.3], 0.5, 20_000)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -175,6 +177,22 @@ def test_checkpoint_magic_and_version_checked(tmp_path):
     bad.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         nn.load_model(bad)
+
+
+def test_checkpoint_truncated_or_corrupt_is_format_error(tmp_path):
+    path = tmp_path / "model.eirm"
+    nn.save_model(nn.make_mlp((3, 4, 2), Rng(1)), path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.eirm"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            nn.load_model(cut)
+    bad = bytearray(raw)
+    bad[12 + 16 : 12 + 24] = struct.pack("<d", 7.0)  # layer 0 activation code
+    cut.write_bytes(bytes(bad))
+    with pytest.raises(FormatError, match="activation"):
+        nn.load_model(cut)
 
 
 def test_loaded_model_same_predictions(tmp_path):
