@@ -29,7 +29,7 @@ seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
 
 print("building COLORED_SHAPES benchmark (2000 rows per environment)...")
 bench = make_benchmark("COLORED_SHAPES", (2000, 2000, 2000), seed)
-train_envs, test_env, _ = bench
+train_envs, test_env = bench.train_envs, bench.test_env
 pooled = pool_environments(train_envs)
 
 cfg = TrainConfig(

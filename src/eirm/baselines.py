@@ -34,8 +34,11 @@ def as_ensemble(model: nn.Mlp) -> EnsembleModel:
 
 
 def pool_environments(datasets) -> EnvironmentDataset:
+    """The datasets' rows in order as one dataset; a lone dataset is returned as it is."""
     if not datasets:
         raise ValueError("need at least one dataset")
+    if len(datasets) == 1:
+        return datasets[0]
     bits = [getattr(d, "spurious_bits", None) for d in datasets]
     return EnvironmentDataset(
         np.vstack([d.features for d in datasets]),

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
+from .baselines import as_ensemble, train_erm, train_robust_minmax
 from .datasets import (
     BENCHMARKS,
     DEFAULT_FLIP_PROBS,
@@ -76,6 +76,17 @@ class ExperimentConfig:
                 raise ConfigError(f"methods: unknown method {m!r}")
         if len(self.sizes) != len(self.flip_probs):
             raise ConfigError("sizes: length must match flip_probs")
+        if any(size < 1 for size in self.sizes):
+            raise ConfigError(f"sizes: every size must be >= 1, got {list(self.sizes)}")
+        if self.baseline_iters < 1:
+            raise ConfigError("baseline_iters: must be >= 1")
+        if self.baseline_lr is not None and self.baseline_lr <= 0:
+            raise ConfigError("baseline_lr: must be positive")
+        if self.train.loss is SQUARED:
+            raise ConfigError(
+                "train.loss: squared loss needs regression targets, "
+                f"and {self.benchmark} has class labels"
+            )
         if self.benchmark != "COLORED_SHAPES":
             data_dir = self.data_dir or os.environ.get("EIRM_DATA_DIR")
             if not data_dir or not os.path.isdir(data_dir):
@@ -188,51 +199,38 @@ def baseline_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
     )
 
 
+GAME_MODES = {"F_IRM": FIXED_PHI, "V_IRM": VARIABLE_PHI}
+
+
 def _train_method(method, bench, cfg: ExperimentConfig, seed: int):
-    """Returns a list of (row_label, train_acc, test_acc, trace)."""
-    train_cfg = dataclasses.replace(cfg.train, seed=seed)
+    """Returns a list of (row_label, model, trace, test split), one per trained model.
+
+    The trainers are looked up at call time, so they can be wrapped in place.
+    """
+    if method in GAME_MODES:
+        model, trace = best_response_train(
+            bench.train_envs, dataclasses.replace(cfg.train, seed=seed),
+            GAME_MODES[method], test_env=bench.test_env,
+        )
+        return [(method, model, trace, bench.test_env)]
+    runs = {  # (row label, training envs, test split) per trained model
+        "ERM": [(method, bench.train_envs, bench.test_env)],
+        "ERM_PER_ENV": [
+            (f"ERM_ENV{e}", [env], bench.test_env)
+            for e, env in enumerate(bench.train_envs)
+        ],
+        "ROBUST": [(method, bench.train_envs, bench.test_env)],
+        "ORACLE": [(method, [bench.oracle_env], bench.oracle_test)],
+    }
+    if method not in runs:
+        raise ConfigError(f"methods: unknown method {method!r}")
+    train = train_robust_minmax if method == "ROBUST" else train_erm
     base_cfg = baseline_config(cfg, seed)
-    pooled = pool_environments(bench.train_envs)
-    if method == "F_IRM":
-        model, trace = best_response_train(
-            bench.train_envs, train_cfg, FIXED_PHI, test_env=bench.test_env
-        )
-        return [(method, _acc(model, pooled), _acc(model, bench.test_env), trace)]
-    if method == "V_IRM":
-        model, trace = best_response_train(
-            bench.train_envs, train_cfg, VARIABLE_PHI, test_env=bench.test_env
-        )
-        return [(method, _acc(model, pooled), _acc(model, bench.test_env), trace)]
-    if method == "ERM":
-        mlp, trace = train_erm(bench.train_envs, base_cfg, test_env=bench.test_env)
-        model = as_ensemble(mlp)
-        return [(method, _acc(model, pooled), _acc(model, bench.test_env), trace)]
-    if method == "ERM_PER_ENV":
-        rows = []
-        for e, env in enumerate(bench.train_envs):
-            mlp, trace = train_erm([env], base_cfg, test_env=bench.test_env)
-            model = as_ensemble(mlp)
-            rows.append(
-                (f"ERM_ENV{e}", _acc(model, env), _acc(model, bench.test_env), trace)
-            )
-        return rows
-    if method == "ROBUST":
-        mlp, trace = train_robust_minmax(
-            bench.train_envs, base_cfg, test_env=bench.test_env
-        )
-        model = as_ensemble(mlp)
-        return [(method, _acc(model, pooled), _acc(model, bench.test_env), trace)]
-    if method == "ORACLE":
-        mlp, trace = train_erm([bench.oracle_env], base_cfg, test_env=bench.oracle_test)
-        model = as_ensemble(mlp)
-        return [
-            (method, _acc(model, bench.oracle_env), _acc(model, bench.oracle_test), trace)
-        ]
-    raise ConfigError(f"methods: unknown method {method!r}")
-
-
-def _acc(model, dataset) -> float:
-    return evaluate(model, dataset)["accuracy"]
+    rows = []
+    for label, envs, test in runs[method]:
+        mlp, trace = train(envs, base_cfg, test_env=test)
+        rows.append((label, as_ensemble(mlp), trace, test))
+    return rows
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) -> dict:
@@ -247,10 +245,12 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
             flip_probs=cfg.flip_probs, height=cfg.height, width=cfg.width,
         )
         for method in cfg.methods:
-            for label, train_acc, test_acc, trace in _train_method(
-                method, bench, cfg, seed
-            ):
+            for label, model, trace, test in _train_method(method, bench, cfg, seed):
                 trace.to_csv(os.path.join(out, f"trace_{label}_seed{seed}.csv"))
+                # every trainer records a row, on its pooled training rows,
+                # for the state it returns
+                train_acc = trace.records[-1].ens_train_acc
+                test_acc = evaluate(model, test)["accuracy"]
                 results.setdefault(label, []).append((train_acc, test_acc))
     _write_table(results, out)
     manifest = {

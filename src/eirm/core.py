@@ -1,8 +1,8 @@
-"""Dense float64 linear algebra, seeded randomness, losses, and statistics.
+"""Seeded randomness, losses, statistics, and a bounds-checked binary reader.
 
 Everything downstream (networks, datasets, the ensemble game) is built on
-the handful of primitives in this module. All public operations work on
-2-D float64 numpy arrays and guarantee finite outputs.
+the handful of primitives in this module. The losses and statistics work on
+float64 numpy arrays and guarantee finite outputs.
 """
 
 from __future__ import annotations
@@ -48,27 +48,6 @@ class BinaryReader:
         return np.frombuffer(self.data, dtype, count, self._take(dtype.itemsize * count))
 
 
-def as_matrix(x) -> np.ndarray:
-    """Coerce input to a 2-D float64 array, validating finiteness."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ShapeError(f"expected 2-D data, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN or Inf")
-    return m
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit dimension checking."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -99,8 +78,8 @@ def mean_squared_error(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def pearson(x: np.ndarray, y: np.ndarray, with_flag: bool = False):
-    """Pearson correlation; returns 0 (flagged) when either input is constant.
+def pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson correlation; returns 0 when either input is constant.
 
     The zero-variance convention keeps correlation traces NaN-free.
     """
@@ -115,9 +94,8 @@ def pearson(x: np.ndarray, y: np.ndarray, with_flag: bool = False):
     sx = np.sqrt(np.sum(xc * xc))
     sy = np.sqrt(np.sum(yc * yc))
     if sx == 0.0 or sy == 0.0:
-        return (0.0, True) if with_flag else 0.0
-    r = float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
-    return (r, False) if with_flag else r
+        return 0.0
+    return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
 
 
 def _label_key(label: str) -> int:

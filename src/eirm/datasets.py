@@ -64,9 +64,8 @@ class EnvironmentDataset:
 class Benchmark:
     """Training environments plus held-out test and grayscale-oracle splits.
 
-    Unpacks as the 3-tuple (train_envs, test_env, oracle_env); oracle_test
-    is the grayscale/no-patch variant of the test rows, used to score the
-    oracle baseline.
+    oracle_test is the grayscale/no-patch variant of the test rows, used to
+    score the oracle baseline.
     """
 
     train_envs: list
@@ -75,9 +74,6 @@ class Benchmark:
     oracle_test: EnvironmentDataset
     height: int = 0
     width: int = 0
-
-    def __iter__(self):
-        return iter((self.train_envs, self.test_env, self.oracle_env))
 
 
 def read_idx(path):

@@ -73,8 +73,9 @@ class Loss(str, Enum):
             return float("nan")
         return pearson(self.predictions(out).astype(np.float64), bits)
 
-    def output_dim(self, n_classes: int) -> int:
-        return 1 if self is Loss.SQUARED else n_classes
+    def output_dim(self) -> int:
+        """One regression output, or one logit per class of the binary labels."""
+        return 1 if self is Loss.SQUARED else 2
 
 
 CROSS_ENTROPY = Loss.CROSS_ENTROPY
@@ -125,7 +126,7 @@ def ensemble_logits(model: EnsembleModel, batch: np.ndarray) -> np.ndarray:
 class TerminationRule:
     window: int = 20
     quantile: float = 0.25
-    min_steps: int = None  # default: warm start + window
+    min_steps: int = None  # default: steps in one epoch of pooled data + window
     enabled: bool = True
     threshold: float = None  # optional manual accuracy threshold
 
@@ -158,7 +159,6 @@ class TrainConfig:
     lr: float = 2.5e-4
     batch_size: int = 256
     steps_per_turn: int = 1
-    warm_start_steps: int = None  # default: steps in one epoch of pooled data
     max_iters: int = 500
     termination: TerminationRule = field(default_factory=TerminationRule)
     seed: int = 0
@@ -170,7 +170,6 @@ class TrainConfig:
     l2_coeff: float = 1.25e-3
     dropout_rate: float = 0.75
     activation: str = "elu"
-    n_classes: int = 2
     test_every: int = 10  # trace cadence for test accuracy
 
     def __post_init__(self):
@@ -235,12 +234,18 @@ class TrainTrace:
                 f.write(",".join(row) + "\n")
 
 
+def _joined(arrays) -> np.ndarray:
+    """The arrays end to end along the first axis; a lone array is not copied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
     Built once per call: it pools the environments' features, targets and
     spurious bits and keeps each environment's row slice of the pool, so
     every row costs one representation pass and one pass per classifier.
+    A lone environment's arrays are used as they are, not copied.
     The forward passes run from this method, not from a public function,
     so profilers see them as direct children of the training call.
     """
@@ -248,10 +253,10 @@ class TraceRecorder:
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
         self.data = [(env.features, self.loss.targets(env)) for env in envs]
-        self.features = np.vstack([x for x, _ in self.data])
-        self.targets = np.concatenate([y for _, y in self.data])
+        self.features = _joined([x for x, _ in self.data])
+        self.targets = _joined([y for _, y in self.data])
         bits = [getattr(env, "spurious_bits", None) for env in envs]
-        self.bits = np.concatenate(bits) if all(b is not None for b in bits) else None
+        self.bits = _joined(bits) if all(b is not None for b in bits) else None
         bounds = np.cumsum([0] + [x.shape[0] for x, _ in self.data])
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self.test_env = test_env
@@ -377,7 +382,7 @@ def spurious_correlation(model: EnsembleModel, dataset,
 
 def build_ensemble(envs, config: TrainConfig, mode: str, rng: Rng) -> EnsembleModel:
     in_dim = envs[0].features.shape[1]
-    out_dim = Loss(config.loss).output_dim(config.n_classes)
+    out_dim = Loss(config.loss).output_dim()
     representation = None
     clf_in = in_dim
     if mode == VARIABLE_PHI:
@@ -428,9 +433,7 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     recorder = TraceRecorder(envs, loss, test_env, config.test_every)
     data = recorder.data
 
-    warm = config.warm_start_steps
-    if warm is None:
-        warm = max(1, recorder.features.shape[0] // config.batch_size)
+    warm = max(1, recorder.features.shape[0] // config.batch_size)
     rule = config.termination
     min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
     monitor = TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)

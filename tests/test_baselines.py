@@ -4,7 +4,7 @@ import pytest
 
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.datasets import EnvironmentDataset, make_benchmark
-from eirm.game import SQUARED, TerminationRule, TrainConfig, evaluate
+from eirm.game import CROSS_ENTROPY, SQUARED, TerminationRule, TraceRecorder, TrainConfig, evaluate
 
 
 def _cfg(**kw):
@@ -26,6 +26,18 @@ def test_pool_environments_concatenates_in_order():
     npt.assert_array_equal(pooled.spurious_bits, [0, 0, 0, 1, 1])
     with pytest.raises(ValueError):
         pool_environments([])
+
+
+def test_recorder_shares_the_pool_it_is_given():
+    # ERM's pool and a lone environment are held once, not copied again
+    bench = make_benchmark("COLORED_SHAPES", (100, 100, 100), 0)
+    env = bench.train_envs[0]
+    assert pool_environments([env]) is env
+    for data in (pool_environments(bench.train_envs), env):
+        recorder = TraceRecorder([data], CROSS_ENTROPY, None, 10)
+        assert np.shares_memory(recorder.features, data.features)
+        assert np.shares_memory(recorder.targets, data.labels)
+        assert np.shares_memory(recorder.bits, data.spurious_bits)
 
 
 def test_erm_on_pooled_equals_erm_on_parts():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,10 +6,18 @@ import numpy as np
 import pytest
 
 from eirm import nn
+from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.cli import METHODS, ConfigError, load_config, main
 from eirm.core import Rng
-from eirm.datasets import load_environment
-from eirm.game import TrainConfig
+from eirm.datasets import load_environment, make_benchmark
+from eirm.game import (
+    FIXED_PHI,
+    VARIABLE_PHI,
+    TerminationRule,
+    TrainConfig,
+    best_response_train,
+    evaluate,
+)
 
 
 def _write_config(tmp_path, **overrides):
@@ -78,6 +87,39 @@ def test_run_trace_rows_fill_the_header(tmp_path):
     assert rows[9]["test_acc"] != ""
 
 
+def test_final_trace_row_is_the_returned_models_train_accuracy():
+    # run_experiment reads each method's train accuracy from the last trace row
+    bench = make_benchmark("COLORED_SHAPES", (120, 120, 120), 0)
+    train, oracle = bench.train_envs, [bench.oracle_env]
+    cfg = TrainConfig(
+        hidden_dims=(8, 8), phi_hidden_dims=(8,), repr_dim=8, max_iters=6,
+        termination=TerminationRule(enabled=False),
+    )
+    stopping = dataclasses.replace(
+        cfg, termination=TerminationRule(window=3, quantile=1.0, min_steps=0)
+    )
+
+    def baseline(fit, envs):
+        mlp, trace = fit(envs, cfg)
+        return as_ensemble(mlp), trace
+
+    runs = [
+        ("F_IRM", train, lambda: best_response_train(train, cfg, FIXED_PHI)),
+        ("V_IRM", train, lambda: best_response_train(train, cfg, VARIABLE_PHI)),
+        ("F_IRM stopped", train, lambda: best_response_train(train, stopping, FIXED_PHI)),
+        ("ERM", train, lambda: baseline(train_erm, train)),
+        ("ROBUST", train, lambda: baseline(train_robust_minmax, train)),
+        ("ORACLE", oracle, lambda: baseline(train_erm, oracle)),
+    ]
+    rows = {}
+    for name, envs, run in runs:
+        model, trace = run()
+        pooled = evaluate(model, pool_environments(envs))["accuracy"]
+        assert trace.records[-1].ens_train_acc == pooled, name
+        rows[name] = len(trace.records)
+    assert rows["F_IRM stopped"] == 3 < rows["F_IRM"]
+
+
 def test_run_seed_offset_changes_results(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -93,6 +135,10 @@ BAD_CONFIGS = [
     ({"sizes": "abc"}, "sizes"),
     ({"train": {"termination": {"bogus": 1}}}, "train.termination.bogus"),
     ({"train": {"loss": "mse"}}, "train.loss"),
+    ({"sizes": [-5, 60, 60]}, "sizes"),
+    ({"baseline_iters": 0}, "baseline_iters"),
+    ({"baseline_lr": -1.0}, "baseline_lr"),
+    ({"train": {"loss": "squared"}}, "train.loss"),
 ]
 
 

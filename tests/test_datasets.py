@@ -141,7 +141,7 @@ def test_spurious_flip_rate_within_3_sigma(p_e):
 
 def test_make_benchmark_shapes_and_disjointness():
     bench = make_benchmark("COLORED_SHAPES", (300, 200, 100), 0)
-    train, test, oracle = bench
+    train, test, oracle = bench.train_envs, bench.test_env, bench.oracle_env
     assert len(train) == 2
     assert train[0].features.shape == (300, 16 * 16 * 3)
     assert train[1].features.shape == (200, 16 * 16 * 3)
