@@ -78,10 +78,22 @@ class ExperimentConfig:
             raise ConfigError("sizes: length must match flip_probs")
         if any(size < 1 for size in self.sizes):
             raise ConfigError(f"sizes: every size must be >= 1, got {list(self.sizes)}")
+        if len(self.sizes) < 2:
+            raise ConfigError("sizes: need at least one training environment before the test one")
+        if "ROBUST" in self.methods and len(self.sizes) < 3:
+            raise ConfigError("methods: ROBUST needs at least 2 training environments")
+        if not all(0.0 <= p <= 1.0 for p in self.flip_probs):
+            raise ConfigError(f"flip_probs: every value must be in [0, 1], got {list(self.flip_probs)}")
+        if self.benchmark == "COLORED_SHAPES":
+            for name in ("height", "width"):
+                if getattr(self, name) < 16:
+                    raise ConfigError(f"{name}: COLORED_SHAPES needs at least 16")
         if self.baseline_iters < 1:
             raise ConfigError("baseline_iters: must be >= 1")
         if self.baseline_lr is not None and self.baseline_lr <= 0:
             raise ConfigError("baseline_lr: must be positive")
+        if self.baseline_dropout is not None and not 0.0 <= self.baseline_dropout < 1.0:
+            raise ConfigError("baseline_dropout: must be in [0, 1)")
         if self.train.loss is SQUARED:
             raise ConfigError(
                 "train.loss: squared loss needs regression targets, "

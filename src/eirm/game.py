@@ -178,6 +178,8 @@ class TrainConfig:
         for name in ("batch_size", "steps_per_turn", "max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
         self.loss = Loss(self.loss)
 
 
@@ -243,10 +245,14 @@ class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
     Built once per call: it pools the environments' features, targets and
-    spurious bits and keeps each environment's row slice of the pool, so
-    every row costs one representation pass and one pass per classifier.
+    spurious bits and keeps each environment's row slice of the pool.
     A lone environment's arrays are used as they are, not copied.
-    The forward passes run from this method, not from a public function,
+    Each network's pooled output is kept with a copy of its parameters and
+    the input array it ran on, and a row reruns only the networks whose
+    parameters or input changed since the previous row: after one player's
+    turn, that player's network and the classifiers fed by a new
+    representation output.
+    The forward passes run from these methods, not from a public function,
     so profilers see them as direct children of the training call.
     """
 
@@ -261,12 +267,27 @@ class TraceRecorder:
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         self.test_env = test_env
         self.test_every = test_every
+        # id(net) -> (net, parameter copies, input, output); holding net keeps its id unique
+        self._runs = {}
+
+    def _output(self, net: nn.Mlp, x: np.ndarray, runs: dict) -> np.ndarray:
+        """net's inference output on x, reused from the previous row if neither changed."""
+        params = net.parameters()
+        last = self._runs.get(id(net))
+        if (last is None or last[2] is not x or len(last[1]) != len(params)
+                or not all(map(np.array_equal, last[1], params))):
+            last = (net, [p.copy() for p in params], x, nn.forward(net, x, train_mode=False)[0])
+        runs[id(net)] = last
+        return last[3]
 
     def record(self, model: EnsembleModel, step: int, owner: str, monitor=None):
         """Returns (TraceRecord, whether monitor fired) for the model's current state."""
         loss = self.loss
-        z = model.represent(self.features)
-        clf_outs = [nn.forward(clf, z, train_mode=False)[0] for clf in model.classifiers]
+        runs = {}  # only this row's networks are kept for the next row
+        phi = model.representation
+        z = self.features if phi is None else self._output(phi, self.features, runs)
+        clf_outs = [self._output(clf, z, runs) for clf in model.classifiers]
+        self._runs = runs
         out = sum(clf_outs) / model.n_envs
         env_outs = [(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)]
         test_acc = None

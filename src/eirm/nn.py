@@ -124,10 +124,12 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
         return pre
     if kind == "relu":
         return np.maximum(pre, 0.0)
-    # elu
-    out = pre.copy()
-    neg = pre < 0
-    out[neg] = ELU_ALPHA * np.expm1(pre[neg])
+    # elu: min(pre, 0) keeps expm1 from overflowing; non-negative and NaN
+    # entries are then copied through from pre as they are
+    out = np.minimum(pre, 0.0)
+    np.expm1(out, out=out)
+    out *= ELU_ALPHA
+    np.copyto(out, pre, where=~(pre < 0))
     return out
 
 
@@ -136,9 +138,9 @@ def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
         return np.ones_like(pre)
     if kind == "relu":
         return (pre > 0).astype(np.float64)
-    grad = np.ones_like(pre)
-    neg = pre < 0
-    grad[neg] = post[neg] + ELU_ALPHA  # d/dx alpha(e^x - 1) = alpha e^x
+    # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x
+    grad = post + ELU_ALPHA
+    np.copyto(grad, 1.0, where=~(pre < 0))
     return grad
 
 

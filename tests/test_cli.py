@@ -139,6 +139,12 @@ BAD_CONFIGS = [
     ({"baseline_iters": 0}, "baseline_iters"),
     ({"baseline_lr": -1.0}, "baseline_lr"),
     ({"train": {"loss": "squared"}}, "train.loss"),
+    ({"flip_probs": [2.0, 0.1, 0.9]}, "flip_probs"),
+    ({"train": {"dropout_rate": 1.0}}, "train.dropout_rate"),
+    ({"baseline_dropout": 1.0}, "baseline_dropout"),
+    ({"height": 0}, "height"),
+    ({"sizes": [60], "flip_probs": [0.9]}, "sizes"),
+    ({"sizes": [60, 60], "flip_probs": [0.2, 0.9], "methods": ["ROBUST"]}, "methods"),
 ]
 
 

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eirm import nn
+from eirm import baselines, game, nn
 from eirm.core import Rng, softmax_rows
 from eirm.datasets import make_benchmark, make_spurious_env, synth_shapes
 from eirm.game import (
@@ -17,14 +18,17 @@ from eirm.game import (
     TerminationRule,
     TraceRecord,
     TrainConfig,
+    TraceRecorder,
     TrainTrace,
     best_response_train,
+    build_ensemble,
     ensemble_logits,
     env_turn,
     evaluate,
     phi_turn,
     spurious_correlation,
 )
+from eirm.sem_game import default_sem_spec, sem_train_config, train_sem_game
 
 
 def _tiny_model(n_envs, in_dim=4, out_dim=2, seed=0):
@@ -303,3 +307,82 @@ def test_empty_environment_rejected():
 
     with pytest.raises(ValueError):
         best_response_train([Empty()], _small_cfg(), FIXED_PHI)
+
+
+class _CheckedRecorder(TraceRecorder):
+    """Checks every row against a freshly built recorder's row for the same state."""
+
+    rows = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.args = args
+
+    def record(self, model, step, owner, monitor=None):
+        rec, fired = super().record(model, step, owner, monitor)
+        fresh, _ = TraceRecorder(*self.args).record(model, step, owner)
+        npt.assert_equal(dataclasses.asdict(rec), dataclasses.asdict(fresh))
+        _CheckedRecorder.rows += 1
+        return rec, fired
+
+
+def test_recorder_rows_equal_a_fresh_recorders(monkeypatch):
+    monkeypatch.setattr(game, "TraceRecorder", _CheckedRecorder)
+    monkeypatch.setattr(baselines, "TraceRecorder", _CheckedRecorder)
+    bench = _small_bench(n=60)
+    cfg = _small_cfg(max_iters=4, dropout_rate=0.5, test_every=3)
+    runs = {
+        "F_IRM": lambda: best_response_train(bench.train_envs, cfg, FIXED_PHI, test_env=bench.test_env),
+        "V_IRM": lambda: best_response_train(bench.train_envs, cfg, VARIABLE_PHI, test_env=bench.test_env),
+        "ROBUST": lambda: baselines.train_robust_minmax(bench.train_envs, cfg, test_env=bench.test_env),
+        "SEM": lambda: train_sem_game(default_sem_spec(200), sem_train_config(max_iters=4)),
+    }
+    for name, run in runs.items():
+        before = _CheckedRecorder.rows
+        run()
+        assert _CheckedRecorder.rows > before, name
+
+
+def _count_forward_rows(monkeypatch):
+    rows = []
+    forward = nn.forward
+
+    def counting(net, batch, *args, **kwargs):
+        rows.append(batch.shape[0])
+        return forward(net, batch, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "forward", counting)
+    return rows
+
+
+def test_recorder_reruns_only_the_network_that_moved(monkeypatch):
+    bench = _small_bench(n=60)
+    envs = bench.train_envs
+    model = build_ensemble(envs, _small_cfg(dropout_rate=0.5), VARIABLE_PHI, Rng(4))
+    recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
+    pool = recorder.features.shape[0]
+    recorder.record(model, 1, "init")
+    x, y = recorder.data[0]
+
+    def rows_of_record(step):
+        rows = _count_forward_rows(monkeypatch)
+        rec, _ = recorder.record(model, step, "check")
+        monkeypatch.undo()
+        return rec, sum(rows)
+
+    opt = nn.AdamState.for_params(model.classifiers[0].parameters(), lr=1e-2)
+    env_turn(model, 0, x[:32], y[:32], opt, rng=Rng(5))
+    assert rows_of_record(2)[1] == pool  # one classifier pass
+    phi_opt = nn.AdamState.for_params(model.representation.parameters(), lr=1e-2)
+    phi_turn(model, [(x[:32], y[:32]) for x, y in recorder.data], phi_opt, rng=Rng(6))
+    assert rows_of_record(3)[1] == (1 + model.n_envs) * pool  # phi, then every classifier
+    unmoved, rows = rows_of_record(4)
+    assert rows == 0  # nothing moved
+
+    # an in-place edit between rows is seen
+    model.classifiers[1].layers[-1].bias[0] += 5.0
+    edited, rows = rows_of_record(5)
+    assert rows == pool
+    fresh, _ = TraceRecorder(envs, CROSS_ENTROPY, None, 10).record(model, 5, "check")
+    npt.assert_equal(dataclasses.asdict(edited), dataclasses.asdict(fresh))
+    assert edited.env_risks != unmoved.env_risks

@@ -56,6 +56,34 @@ def test_elu_values():
     npt.assert_allclose(out, [[np.expm1(-2.0)], [0.0], [3.0]])
 
 
+def _masked_elu(pre):
+    out = pre.copy()
+    neg = pre < 0
+    out[neg] = nn.ELU_ALPHA * np.expm1(pre[neg])
+    return out
+
+
+def _masked_elu_grad(pre, post):
+    grad = np.ones_like(pre)
+    neg = pre < 0
+    grad[neg] = post[neg] + nn.ELU_ALPHA
+    return grad
+
+
+def test_elu_matches_masked_indexing_bit_for_bit():
+    edge = [-0.0, 0.0, 1e-300, -1e-300, 50.0, -50.0, np.inf, -np.inf, np.nan, -np.nan]
+    rng = Rng(3)
+    pre = np.concatenate([np.array(edge * 4), rng.normal(scale=5.0, size=960)]).reshape(25, 40)
+    post = nn._activate(pre, "elu")
+    assert post.tobytes() == _masked_elu(pre).tobytes()
+    keep = 0.25
+    mask = (rng.child("drop").random(pre.shape) < keep) / keep
+    with np.errstate(invalid="ignore"):  # a dropped inf unit is NaN
+        dropped = post * mask
+    for p in (post, dropped):  # backward passes the post-dropout value
+        assert nn._activate_grad(pre, p, "elu").tobytes() == _masked_elu_grad(pre, p).tobytes()
+
+
 def test_loss_grad_logits_identity():
     # gradient of mean NLL w.r.t. logits is (softmax - onehot) / batch
     rng = Rng(1)
