@@ -14,6 +14,7 @@ from .nn import (
     load_model,
     make_mlp,
     net_loss,
+    predict,
     save_model,
 )
 from .datasets import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -108,8 +108,7 @@ class EnsembleModel:
     def represent(self, batch: np.ndarray) -> np.ndarray:
         if self.representation is None:
             return np.asarray(batch, dtype=np.float64)
-        z, _ = nn.forward(self.representation, batch, train_mode=False)
-        return z
+        return nn.predict(self.representation, batch)
 
 
 def ensemble_logits(model: EnsembleModel, batch: np.ndarray) -> np.ndarray:
@@ -117,7 +116,7 @@ def ensemble_logits(model: EnsembleModel, batch: np.ndarray) -> np.ndarray:
     z = model.represent(batch)
     total = None
     for clf in model.classifiers:
-        logits, _ = nn.forward(clf, z, train_mode=False)
+        logits = nn.predict(clf, z)
         total = logits if total is None else total + logits
     return total / model.n_envs
 
@@ -241,25 +240,63 @@ def _joined(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _lit_pool(features):
+    """The feature arrays end to end, without the columns that are zero in every row.
+
+    Returns (pool, kept column indices), or (pool, None) when every column is
+    kept. A lone array is used as it is. The pool is filled array by array,
+    so no full-width pool is ever built.
+    """
+    if len(features) == 1:
+        return features[0], None
+    lit = np.logical_or.reduce([np.any(x, axis=0) for x in features])
+    if lit.all():
+        return np.concatenate(features), None
+    columns = np.flatnonzero(lit)
+    pool = np.empty((sum(x.shape[0] for x in features), columns.size))
+    lo = 0
+    for x in features:
+        # np.take does not cast into out, and nn.predict reads float64 anyway
+        x = np.asarray(x, dtype=np.float64)
+        np.take(x, columns, axis=1, out=pool[lo : lo + x.shape[0]], mode="clip")
+        lo += x.shape[0]
+    return pool, columns
+
+
+def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
+    """net with its first layer cut to the weight rows of the given input columns.
+
+    The later layers are shared, not copied. Dropping an input column that is
+    zero in every row changes each output by rounding only.
+    """
+    if columns is None:
+        return net
+    first = net.layers[0]
+    return nn.Mlp([replace(first, weights=first.weights[columns]), *net.layers[1:]])
+
+
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
     Built once per call: it pools the environments' features, targets and
     spurious bits and keeps each environment's row slice of the pool.
-    A lone environment's arrays are used as they are, not copied.
+    A lone environment's arrays are used as they are, not copied. Two or
+    more environments are copied into the pool anyway, so it keeps only
+    the feature columns nonzero in some row (`columns`), and the network fed
+    the pool runs with the matching rows of its first layer's weights.
     Each network's pooled output is kept with a copy of its parameters and
     the input array it ran on, and a row reruns only the networks whose
     parameters or input changed since the previous row: after one player's
     turn, that player's network and the classifiers fed by a new
     representation output.
-    The forward passes run from these methods, not from a public function,
-    so profilers see them as direct children of the training call.
+    The `nn.predict` passes run from these methods, not from a public game
+    function, so profilers see them as direct children of the training call.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
         self.data = [(env.features, self.loss.targets(env)) for env in envs]
-        self.features = _joined([x for x, _ in self.data])
+        self.features, self.columns = _lit_pool([x for x, _ in self.data])
         self.targets = _joined([y for _, y in self.data])
         bits = [getattr(env, "spurious_bits", None) for env in envs]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
@@ -276,7 +313,8 @@ class TraceRecorder:
         last = self._runs.get(id(net))
         if (last is None or last[2] is not x or len(last[1]) != len(params)
                 or not all(map(np.array_equal, last[1], params))):
-            last = (net, [p.copy() for p in params], x, nn.forward(net, x, train_mode=False)[0])
+            run = _first_rows(net, self.columns) if x is self.features else net
+            last = (net, [p.copy() for p in params], x, nn.predict(run, x))
         runs[id(net)] = last
         return last[3]
 

@@ -144,17 +144,37 @@ def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     return grad
 
 
-def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = None):
-    """Run the net; returns (logits, cache) where cache feeds backward().
-
-    With train_mode off the pass is a pure function of (parameters, batch).
-    Dropout uses inverted scaling so inference needs no rescale.
-    """
+def _input(net: Mlp, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}"
         )
+    return x
+
+
+def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
+    """The net's inference output, equal bit for bit to forward(net, batch)[0].
+
+    No per-layer array is kept for a backward pass: each layer's output
+    replaces the one before, so at most two layer outputs are alive at once.
+    """
+    x = _input(net, batch)
+    for layer in net.layers:
+        x = x @ layer.weights
+        x += layer.bias
+        x = _activate(x, layer.activation)
+    return x
+
+
+def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = None):
+    """Run the net; returns (logits, cache) where cache feeds backward().
+
+    With train_mode off the pass is a pure function of (parameters, batch).
+    Dropout uses inverted scaling so inference needs no rescale. Callers
+    that do not backpropagate use predict().
+    """
+    x = _input(net, batch)
     if train_mode and rng is None:
         rng = Rng(0)
     cache = []
@@ -248,8 +268,7 @@ def regularization_loss(net: Mlp) -> float:
 
 def net_loss(net: Mlp, batch: np.ndarray, labels: np.ndarray) -> float:
     """Cross-entropy plus L2 penalty, dropout off; the finite-diff target."""
-    logits, _ = forward(net, batch, train_mode=False)
-    return cross_entropy(softmax_rows(logits), labels) + regularization_loss(net)
+    return cross_entropy(softmax_rows(predict(net, batch)), labels) + regularization_loss(net)
 
 
 def finite_diff_check(

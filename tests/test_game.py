@@ -7,7 +7,7 @@ import pytest
 
 from eirm import baselines, game, nn
 from eirm.core import Rng, softmax_rows
-from eirm.datasets import make_benchmark, make_spurious_env, synth_shapes
+from eirm.datasets import make_benchmark, make_linear_sem, make_spurious_env, synth_shapes
 from eirm.game import (
     CROSS_ENTROPY,
     FIXED_PHI,
@@ -344,14 +344,17 @@ def test_recorder_rows_equal_a_fresh_recorders(monkeypatch):
 
 
 def _count_forward_rows(monkeypatch):
+    """Rows run through nn.forward or nn.predict until monkeypatch.undo()."""
     rows = []
-    forward = nn.forward
 
-    def counting(net, batch, *args, **kwargs):
-        rows.append(batch.shape[0])
-        return forward(net, batch, *args, **kwargs)
+    def counting(run):
+        def counted(net, batch, *args, **kwargs):
+            rows.append(batch.shape[0])
+            return run(net, batch, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(nn, "forward", counting)
+    for name in ("forward", "predict"):
+        monkeypatch.setattr(nn, name, counting(getattr(nn, name)))
     return rows
 
 
@@ -386,3 +389,42 @@ def test_recorder_reruns_only_the_network_that_moved(monkeypatch):
     fresh, _ = TraceRecorder(envs, CROSS_ENTROPY, None, 10).record(model, 5, "check")
     npt.assert_equal(dataclasses.asdict(edited), dataclasses.asdict(fresh))
     assert edited.env_risks != unmoved.env_risks
+
+
+def test_recorder_pools_only_the_lit_columns():
+    envs = _small_bench(n=200).train_envs
+    recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
+    full = np.vstack([env.features for env in envs])
+    assert full.shape[1] == 768 and recorder.features.shape[1] < 768
+    assert np.any(recorder.features, axis=0).all()
+    npt.assert_array_equal(recorder.features, full[:, recorder.columns])
+    dropped = np.setdiff1d(np.arange(full.shape[1]), recorder.columns)
+    assert not np.any(full[:, dropped])
+    # no SEM column is zero in every row: the pool keeps them all
+    sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
+    sem = TraceRecorder(sem_envs, SQUARED, None, 10)
+    assert sem.columns is None
+    npt.assert_array_equal(sem.features, np.vstack([env.features for env in sem_envs]))
+
+
+def test_narrowed_pool_rows_equal_a_full_width_pools():
+    bench = _small_bench(n=200)
+    envs = bench.train_envs
+    pool = baselines.pool_environments(envs)
+    full = TraceRecorder([pool], CROSS_ENTROPY, bench.test_env, 1)
+    assert full.features.shape == pool.features.shape
+    for mode in (FIXED_PHI, VARIABLE_PHI):
+        model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), mode)
+        narrowed = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
+        assert narrowed.features.shape[1] < pool.features.shape[1]
+        rec, _ = narrowed.record(model, 1, "check")
+        ref, _ = full.record(model, 1, "check")
+        assert rec.ens_train_acc == ref.ens_train_acc, mode
+        assert rec.ens_spur_corr == ref.ens_spur_corr, mode
+        assert rec.w_spur_corrs == ref.w_spur_corrs, mode
+        assert rec.test_acc == ref.test_acc, mode
+        # per environment, against a full-width pass over its own rows
+        for env, risk, acc in zip(envs, rec.env_risks, rec.env_accs):
+            by_env = evaluate(model, env)
+            assert acc == by_env["accuracy"], mode
+            npt.assert_allclose(risk, by_env["risk"], rtol=1e-12, atol=0)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -46,6 +47,49 @@ def test_forward_rejects_wrong_width():
     net = nn.make_mlp((4, 2), Rng(0))
     with pytest.raises(ShapeError):
         nn.forward(net, np.zeros((3, 5)))
+
+
+def test_predict_equals_forward_bit_for_bit():
+    edge = [np.nan, np.inf, -np.inf, -0.0, 1e-300, -1e-300]
+    rng = Rng(11)
+    x = rng.normal(scale=3.0, size=(40, 6))
+    x[:6] = edge  # all six edge values in one row
+    x[6:12] = np.diag(edge)  # one edge value per row
+    for kind in nn.ACTIVATIONS:
+        net = nn.make_mlp((6, 8, 8, 3), rng.child(kind), hidden_activation=kind, dropout_rate=0.5)
+        for i, layer in enumerate(net.layers):
+            layer.bias[:] = rng.child(f"{kind}{i}").normal(size=layer.out_dim)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected, _ = nn.forward(net, x)
+            assert nn.predict(net, x).tobytes() == expected.tobytes(), kind
+
+
+def test_predict_rejects_the_batches_forward_rejects():
+    net = nn.make_mlp((4, 3, 2), Rng(0))
+    for bad in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 4, 1))):
+        with pytest.raises(ShapeError) as by_forward:
+            nn.forward(net, bad)
+        with pytest.raises(ShapeError) as by_predict:
+            nn.predict(net, bad)
+        assert str(by_predict.value) == str(by_forward.value)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_keeps_no_layer_outputs():
+    net = nn.make_mlp((768, 64, 64, 2), Rng(5))
+    x = Rng(6).normal(size=(4000, 768))
+    layer_output = x.shape[0] * 64 * x.itemsize
+    by_forward = _peak_bytes(lambda: nn.forward(net, x))
+    by_predict = _peak_bytes(lambda: nn.predict(net, x))
+    assert by_predict <= by_forward - layer_output
 
 
 def test_elu_values():

@@ -158,6 +158,23 @@ def test_bounded_matches_fixed_point_equations_random():
             npt.assert_allclose(c1, c2, atol=1e-9)
 
 
+def test_bounded_interior_fixed_points_sit_at_the_shared_minimizer():
+    # 121 x 121 minimizer pairs, some outside each box: an interior fixed
+    # point only appears for c1 == c2, with ensemble (w1 + w2) / 2 == c1
+    minimizers = np.linspace(-3.0, 3.0, 121)
+    interior_count = 0
+    for hi in (0.5, 1.0, 2.0, 2.5):
+        for c1 in minimizers:
+            for c2 in minimizers:
+                spec = QuadGameSpec(minimizers=(float(c1), float(c2)), lo=-hi, hi=hi)
+                (w1, w2), interior = bounded_linear_ne(spec)
+                if interior:
+                    interior_count += 1
+                    assert abs(w1 + w2 - 2.0 * c1) <= 1e-12, (hi, c1, c2)
+                    assert abs(w1 + w2 - 2.0 * c2) <= 1e-12, (hi, c1, c2)
+    assert interior_count > 0
+
+
 # -- certificates on the linear-SEM game ------------------------------------
 
 
