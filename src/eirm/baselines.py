@@ -89,12 +89,13 @@ def train_robust_minmax(envs, config: TrainConfig, test_env=None):
     trace = TrainTrace()
     for step in range(1, config.max_iters + 1):
         turns = []  # (risk, outputs, targets, cache) per environment
+        penalty = nn.regularization_loss(model)  # the model is fixed within the step
         for e, (x, y) in enumerate(data):
             idx = batchers[e].next()
             out, cache = nn.forward(
                 model, x[idx], train_mode=True, rng=drop_rng.child(f"s{step}e{e}")
             )
-            risk = loss.risk(out, y[idx]) + nn.regularization_loss(model)
+            risk = loss.risk(out, y[idx]) + penalty
             turns.append((risk, out, y[idx], cache))
         # argmax takes the first max: ties go to the lowest index
         _, out, by, cache = turns[int(np.argmax([t[0] for t in turns]))]

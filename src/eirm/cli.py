@@ -260,9 +260,13 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
             for label, model, trace, test in _train_method(method, bench, cfg, seed):
                 trace.to_csv(os.path.join(out, f"trace_{label}_seed{seed}.csv"))
                 # every trainer records a row, on its pooled training rows,
-                # for the state it returns
-                train_acc = trace.records[-1].ens_train_acc
-                test_acc = evaluate(model, test)["accuracy"]
+                # for the state it returns; that row holds the test accuracy
+                # when its step is a multiple of test_every
+                last = trace.records[-1]
+                train_acc = last.ens_train_acc
+                test_acc = last.test_acc
+                if test_acc is None:
+                    test_acc = evaluate(model, test)["accuracy"]
                 results.setdefault(label, []).append((train_acc, test_acc))
     _write_table(results, out)
     manifest = {

@@ -15,6 +15,8 @@ import numpy as np
 
 from .core import BinaryReader, FormatError, Rng, ShapeError, cross_entropy, softmax_rows
 
+# The mask-free ELU kernels below rest on this value: the forward pass holds
+# for 0 <= ELU_ALPHA <= 1, the gradient for ELU_ALPHA == 1.
 ELU_ALPHA = 1.0
 
 ACTIVATIONS = ("elu", "relu", "linear")
@@ -124,13 +126,13 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
         return pre
     if kind == "relu":
         return np.maximum(pre, 0.0)
-    # elu: min(pre, 0) keeps expm1 from overflowing; non-negative and NaN
-    # entries are then copied through from pre as they are
+    # elu as max(alpha * expm1(min(pre, 0)), pre), no boolean mask: for x < 0,
+    # alpha * expm1(x) >= expm1(x) >= x as alpha <= 1; for x >= 0 the first term
+    # is 0 <= x; maximum propagates NaN. min(pre, 0) keeps expm1 from overflowing.
     out = np.minimum(pre, 0.0)
     np.expm1(out, out=out)
     out *= ELU_ALPHA
-    np.copyto(out, pre, where=~(pre < 0))
-    return out
+    return np.maximum(out, pre, out=out)
 
 
 def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
@@ -138,9 +140,11 @@ def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
         return np.ones_like(pre)
     if kind == "relu":
         return (pre > 0).astype(np.float64)
-    # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x
-    grad = post + ELU_ALPHA
-    np.copyto(grad, 1.0, where=~(pre < 0))
+    # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x.
+    # fmin(post, 0) + alpha, no boolean mask: where pre < 0, post <= 0 (alpha >= 0), so it
+    # is post + alpha; elsewhere post >= 0 or NaN (fmin drops NaN), so it is alpha, i.e. 1.
+    grad = np.fmin(post, 0.0)
+    grad += ELU_ALPHA
     return grad
 
 

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from eirm import nn
+from eirm import cli, nn
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.cli import METHODS, ConfigError, load_config, main
 from eirm.core import Rng
@@ -118,6 +118,32 @@ def test_final_trace_row_is_the_returned_models_train_accuracy():
         assert trace.records[-1].ens_train_acc == pooled, name
         rows[name] = len(trace.records)
     assert rows["F_IRM stopped"] == 3 < rows["F_IRM"]
+
+
+def test_final_test_accuracy_comes_from_the_last_trace_row(tmp_path, monkeypatch):
+    # F-IRM ends at step 20, V-IRM at 30 and the baselines at 10: every last
+    # step is a multiple of 10 and none of 7, so the last row holds the test
+    # accuracy with test_every 10 and run_experiment evaluates each of the 7
+    # trained models itself with test_every 7; the table is the same
+    calls = []
+
+    def counting(model, dataset, *args, **kwargs):
+        calls.append(dataset)
+        return evaluate(model, dataset, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
+    tables = {}
+    for test_every, expected in ((10, 0), (7, 7)):
+        calls.clear()
+        path = _write_config(tmp_path, methods=list(METHODS))
+        cfg = json.loads(path.read_text())
+        cfg["train"]["test_every"] = test_every
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"every{test_every}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert len(calls) == expected
+        tables[test_every] = (out / "results.csv").read_bytes()
+    assert tables[10] == tables[7]
 
 
 def test_run_seed_offset_changes_results(tmp_path):

@@ -115,9 +115,16 @@ def _masked_elu_grad(pre, post):
 
 
 def test_elu_matches_masked_indexing_bit_for_bit():
-    edge = [-0.0, 0.0, 1e-300, -1e-300, 50.0, -50.0, np.inf, -np.inf, np.nan, -np.nan]
+    # the mask-free kernels are exact only for 0 <= alpha <= 1 (the gradient for alpha == 1,
+    # which the masked reference below checks)
+    assert 0 <= nn.ELU_ALPHA <= 1
+    edge = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, -5e-324, 50.0, -50.0, -745.0, -710.0, 1e300,
+            np.inf, -np.inf, np.nan, -np.nan]
     rng = Rng(3)
-    pre = np.concatenate([np.array(edge * 4), rng.normal(scale=5.0, size=960)]).reshape(25, 40)
+    # one negative value in each binade [-2^(k+1), -2^k), k = -1074 .. 10
+    binades = np.ldexp(-1.0 - rng.random(1085), np.arange(-1074, 11))
+    # one contiguous row, so numpy runs its vector loops over every value
+    pre = np.concatenate([np.array(edge * 4), binades, rng.normal(scale=5.0, size=960)])[None, :]
     post = nn._activate(pre, "elu")
     assert post.tobytes() == _masked_elu(pre).tobytes()
     keep = 0.25
