@@ -240,27 +240,76 @@ def _joined(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _lit_pool(features):
-    """The feature arrays end to end, without the columns that are zero in every row.
+_BLOCK_ROWS = 512  # rows per block when the distinct pool is filled and checked
 
-    Returns (pool, kept column indices), or (pool, None) when every column is
-    kept. A lone array is used as it is. The pool is filled array by array,
-    so no full-width pool is ever built.
+
+def _row_keys(x: np.ndarray) -> np.ndarray:
+    """One number per row, the same for equal rows: the product with a fixed probe.
+
+    The probe holds integers below 2**40, so on integer-valued features (the
+    binary COLORED_SHAPES pixels) every sum is exact and equal rows get equal
+    keys whatever order BLAS adds in. Distinct rows may share a key; the
+    caller checks the grouping exactly.
+    """
+    probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1])
+    return x @ probe.astype(np.float64)
+
+
+def _blocks(features, columns, keep):
+    """Rows keep (ascending indices into the arrays end to end) cut to columns.
+
+    Yields (position in keep, float64 block) for blocks of at most
+    _BLOCK_ROWS rows, so no larger copy is ever made.
+    """
+    bounds = np.cumsum([0] + [x.shape[0] for x in features])
+    cuts = np.searchsorted(keep, bounds)
+    for x, lo, start, stop in zip(features, bounds, cuts[:-1], cuts[1:]):
+        for at in range(start, stop, _BLOCK_ROWS):
+            block = np.take(x, keep[at : min(at + _BLOCK_ROWS, stop)] - lo, axis=0)
+            block = block if columns is None else np.take(block, columns, axis=1)
+            yield at, block.astype(np.float64, copy=False)
+
+
+def _gather(features, columns, keep) -> np.ndarray:
+    """Rows keep of the arrays end to end, cut to columns, as one float64 array."""
+    width = features[0].shape[1] if columns is None else columns.size
+    pool = np.empty((keep.size, width))
+    for at, block in _blocks(features, columns, keep):
+        pool[at : at + block.shape[0]] = block
+    return pool
+
+
+def _distinct_pool(features):
+    """The feature arrays end to end, each distinct row once, without never-lit columns.
+
+    Returns (pool, columns, rows): pool[rows] is the pooled rows cut to the kept
+    column indices, bit for bit. columns is None when every column is kept and
+    rows is None when the pool holds every row in order. A lone array is used as
+    it is. Rows are grouped by _row_keys in first-occurrence order, and every
+    repeated row is checked against its pool row bit for bit; if two distinct
+    rows share a key, every row is kept. The pool is filled from the arrays
+    block by block, so no full-width copy of them is ever built.
     """
     if len(features) == 1:
-        return features[0], None
+        return features[0], None, None
     lit = np.logical_or.reduce([np.any(x, axis=0) for x in features])
-    if lit.all():
-        return np.concatenate(features), None
-    columns = np.flatnonzero(lit)
-    pool = np.empty((sum(x.shape[0] for x in features), columns.size))
-    lo = 0
-    for x in features:
-        # np.take does not cast into out, and nn.predict reads float64 anyway
-        x = np.asarray(x, dtype=np.float64)
-        np.take(x, columns, axis=1, out=pool[lo : lo + x.shape[0]], mode="clip")
-        lo += x.shape[0]
-    return pool, columns
+    columns = None if lit.all() else np.flatnonzero(lit)
+    keys = np.concatenate([_row_keys(x) for x in features])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if first.size < keys.size:
+        order = np.argsort(first)
+        keep = first[order]  # the pool's rows, ascending
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        rows = rank[inverse]
+        pool = _gather(features, columns, keep)
+        repeats = np.flatnonzero(keep[rows] != np.arange(keys.size))
+        if all(np.array_equal(pool[rows[repeats[at : at + block.shape[0]]]].view(np.int64),
+                              block.view(np.int64))
+               for at, block in _blocks(features, columns, repeats)):
+            return pool, columns, rows
+        del pool  # before the full pool is built
+    return _gather(features, columns, np.arange(keys.size)), columns, None
 
 
 def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
@@ -283,7 +332,10 @@ class TraceRecorder:
     A lone environment's arrays are used as they are, not copied. Two or
     more environments are copied into the pool anyway, so it keeps only
     the feature columns nonzero in some row (`columns`), and the network fed
-    the pool runs with the matching rows of its first layer's weights.
+    the pool runs with the matching rows of its first layer's weights. That
+    pool also holds each distinct row once: `rows` gives the pool row of
+    each pooled row, and every network's output is gathered back through it
+    before the row's figures are taken (None when all rows are distinct).
     Each network's pooled output is kept with a copy of its parameters and
     the input array it ran on, and a row reruns only the networks whose
     parameters or input changed since the previous row: after one player's
@@ -296,7 +348,7 @@ class TraceRecorder:
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
         self.data = [(env.features, self.loss.targets(env)) for env in envs]
-        self.features, self.columns = _lit_pool([x for x, _ in self.data])
+        self.features, self.columns, self.rows = _distinct_pool([x for x, _ in self.data])
         self.targets = _joined([y for _, y in self.data])
         bits = [getattr(env, "spurious_bits", None) for env in envs]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
@@ -326,6 +378,8 @@ class TraceRecorder:
         z = self.features if phi is None else self._output(phi, self.features, runs)
         clf_outs = [self._output(clf, z, runs) for clf in model.classifiers]
         self._runs = runs
+        if self.rows is not None:
+            clf_outs = [o[self.rows] for o in clf_outs]
         out = sum(clf_outs) / model.n_envs
         env_outs = [(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)]
         test_acc = None
@@ -492,10 +546,11 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     recorder = TraceRecorder(envs, loss, test_env, config.test_every)
     data = recorder.data
 
-    warm = max(1, recorder.features.shape[0] // config.batch_size)
+    warm = max(1, recorder.targets.shape[0] // config.batch_size)  # one epoch of pooled rows
     rule = config.termination
     min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
-    monitor = TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
+    monitor = (TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
+               if rule.enabled else None)
 
     batchers = [
         _Batcher(x.shape[0], config.batch_size, rng.child(f"batch{e}"))
@@ -520,7 +575,7 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
         step += 1
         rec, fired = recorder.record(model, step, trace_owner or owner, monitor)
         trace.append(rec)
-        return fired and rule.enabled
+        return fired
 
     for _ in range(config.max_iters):
         if mode == VARIABLE_PHI:

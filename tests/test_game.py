@@ -299,6 +299,42 @@ def test_warm_start_defaults_to_one_pooled_epoch():
     assert len(trace.records) == 2
 
 
+def test_warm_up_counts_every_pooled_row(monkeypatch):
+    armed = []
+
+    class Captured(TerminationMonitor):
+        def __init__(self, window, quantile, min_steps, threshold):
+            armed.append(min_steps)
+            super().__init__(window, quantile, min_steps, threshold)
+
+    monkeypatch.setattr(game, "TerminationMonitor", Captured)
+    envs = _small_bench(n=200).train_envs
+    assert TraceRecorder(envs, CROSS_ENTROPY, None, 10).features.shape[0] < 400
+    cfg = _small_cfg(batch_size=50, max_iters=1, termination=TerminationRule())
+    best_response_train(envs, cfg, FIXED_PHI)
+    assert armed == [400 // 50 + TerminationRule().window]
+
+
+def test_disabled_rule_never_observes(monkeypatch):
+    calls = []
+    observe = TerminationMonitor.observe
+
+    def counted(self, accuracy, step):
+        calls.append(step)
+        return observe(self, accuracy, step)
+
+    monkeypatch.setattr(TerminationMonitor, "observe", counted)
+    envs = _small_bench().train_envs
+    traces = {}
+    for label, rule in (("off", TerminationRule(enabled=False)),
+                        ("never fires", TerminationRule(min_steps=10**6))):
+        del calls[:]
+        _, trace = best_response_train(envs, _small_cfg(max_iters=5, termination=rule), FIXED_PHI)
+        traces[label] = [dataclasses.asdict(r) for r in trace.records]
+        assert len(calls) == (0 if label == "off" else len(trace.records))
+    npt.assert_equal(traces["off"], traces["never fires"])
+
+
 def test_empty_environment_rejected():
     class Empty:
         features = np.zeros((0, 4))
@@ -397,14 +433,54 @@ def test_recorder_pools_only_the_lit_columns():
     full = np.vstack([env.features for env in envs])
     assert full.shape[1] == 768 and recorder.features.shape[1] < 768
     assert np.any(recorder.features, axis=0).all()
-    npt.assert_array_equal(recorder.features, full[:, recorder.columns])
+    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
     dropped = np.setdiff1d(np.arange(full.shape[1]), recorder.columns)
     assert not np.any(full[:, dropped])
     # no SEM column is zero in every row: the pool keeps them all
     sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
     sem = TraceRecorder(sem_envs, SQUARED, None, 10)
-    assert sem.columns is None
+    assert sem.columns is None and sem.rows is None
     npt.assert_array_equal(sem.features, np.vstack([env.features for env in sem_envs]))
+
+
+def _assert_rows_match(rec, ref, model, envs, label):
+    """A narrowed pool's row against a full-width pool's row for the same model state."""
+    assert rec.ens_train_acc == ref.ens_train_acc, label
+    assert rec.ens_spur_corr == ref.ens_spur_corr, label
+    assert rec.w_spur_corrs == ref.w_spur_corrs, label
+    assert rec.test_acc == ref.test_acc, label
+    # per environment, against a full-width pass over its own rows
+    for env, risk, acc in zip(envs, rec.env_risks, rec.env_accs):
+        by_env = evaluate(model, env)
+        assert acc == by_env["accuracy"], label
+        npt.assert_allclose(risk, by_env["risk"], rtol=1e-12, atol=0, err_msg=label)
+
+
+def test_recorder_keeps_each_distinct_row_once():
+    envs = _small_bench(n=200).train_envs
+    recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
+    full = np.vstack([env.features for env in envs])
+    assert len(np.unique(full, axis=0)) < full.shape[0]  # binary shapes repeat
+    assert recorder.features.shape[0] == len(np.unique(full, axis=0))
+    assert recorder.rows.shape == (full.shape[0],)
+    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
+    # first-occurrence order
+    assert np.all(np.diff(np.unique(recorder.rows, return_index=True)[1]) > 0)
+    npt.assert_array_equal(recorder.targets, np.concatenate([env.labels for env in envs]))
+
+
+def test_colliding_row_keys_keep_every_row(monkeypatch):
+    bench = _small_bench(n=200)
+    envs = bench.train_envs
+    model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), FIXED_PHI)
+    full = TraceRecorder([baselines.pool_environments(envs)], CROSS_ENTROPY, bench.test_env, 1)
+    ref, _ = full.record(model, 1, "check")
+    monkeypatch.setattr(game, "_row_keys", lambda x: np.zeros(x.shape[0]))
+    recorder = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
+    assert recorder.rows is None
+    npt.assert_array_equal(recorder.features, full.features[:, recorder.columns])
+    rec, _ = recorder.record(model, 1, "check")
+    _assert_rows_match(rec, ref, model, envs, "colliding keys")
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():
@@ -412,19 +488,16 @@ def test_narrowed_pool_rows_equal_a_full_width_pools():
     envs = bench.train_envs
     pool = baselines.pool_environments(envs)
     full = TraceRecorder([pool], CROSS_ENTROPY, bench.test_env, 1)
-    assert full.features.shape == pool.features.shape
-    for mode in (FIXED_PHI, VARIABLE_PHI):
-        model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), mode)
+    assert full.features.shape == pool.features.shape and full.rows is None
+    cfg = _small_cfg(max_iters=3, dropout_rate=0.5)
+    models = {
+        mode: best_response_train(envs, cfg, mode)[0] for mode in (FIXED_PHI, VARIABLE_PHI)
+    }
+    models["ROBUST"] = baselines.as_ensemble(baselines.train_robust_minmax(envs, cfg)[0])
+    for name, model in models.items():
         narrowed = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
         assert narrowed.features.shape[1] < pool.features.shape[1]
+        assert narrowed.features.shape[0] < pool.features.shape[0]
         rec, _ = narrowed.record(model, 1, "check")
         ref, _ = full.record(model, 1, "check")
-        assert rec.ens_train_acc == ref.ens_train_acc, mode
-        assert rec.ens_spur_corr == ref.ens_spur_corr, mode
-        assert rec.w_spur_corrs == ref.w_spur_corrs, mode
-        assert rec.test_acc == ref.test_acc, mode
-        # per environment, against a full-width pass over its own rows
-        for env, risk, acc in zip(envs, rec.env_risks, rec.env_accs):
-            by_env = evaluate(model, env)
-            assert acc == by_env["accuracy"], mode
-            npt.assert_allclose(risk, by_env["risk"], rtol=1e-12, atol=0)
+        _assert_rows_match(rec, ref, model, envs, name)

@@ -1,6 +1,7 @@
 """Run the benchmark in alternating pairs on two checkouts and write the results as JSON.
 
-    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json
+    python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json \
+        --change "what the change does" --parent COMMIT [--claim WORKLOAD:METRIC]
 
 For every workload in CHANGE_DIR's `BENCHMARK.json` and every seed in SEEDS,
 runs `python3 perfbench/run.py --workload W --seed N --seconds 20 --trace 0`
@@ -15,12 +16,17 @@ per side the median and quartiles; and the number of pairs the change won.
 It also gets the failed-operation counts of every run, the machine line, and
 the traced runs' per-layer figures with the call counts and times of the
 SPANS functions, by calling function, from each traced run's first round.
-The description of the change, its parent commit and any claimed gain are
-not known here; add them to the file by hand.
+It opens with the description of the change and its parent commit as given.
+With --claim it also gets a claim block for that workload's metric: both
+medians, the pairs the change won, the gap between the medians (positive
+when the change is better) against the parent's interquartile range, and
+whether the claim is met: the change won at least CLAIM_WON of the pairs and
+the gap is larger than the parent's IQR.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import os
@@ -29,11 +35,12 @@ import sys
 
 import numpy as np
 
-SEEDS = range(711, 721)  # draw new seeds for each comparison
+SEEDS = range(811, 821)  # draw new seeds for each comparison
 SECONDS = 20
 SPANS = ("nn.forward", "nn.predict", "game.evaluate")
 SIDES = ("parent", "change")
 RUN_COUNTS = ("rounds", "setup_samples")  # per-run entries of the machine line
+CLAIM_WON = 0.9  # share of pairs a claimed gain must win
 
 NOTE = (
     "One pair = the parent and the change run back to back on the same seed, each in "
@@ -97,6 +104,26 @@ def summary(values: dict, better: str) -> dict:
     }
 
 
+def claim_block(workload: str, metric: str, better: str, summary_: dict) -> dict:
+    """The claimed gain on one workload's metric, from that metric's summary."""
+    parent, change = summary_["parent"]["median"], summary_["change"]["median"]
+    gap = change - parent if better == "higher" else parent - change
+    won = summary_["change_better_pairs"]
+    return {
+        "workload": workload,
+        "metric": metric,
+        "better": better,
+        "parent_median": parent,
+        "change_median": change,
+        "change_vs_parent_median": summary_["change_vs_parent_median"],
+        "parent_iqr": summary_["parent_iqr"],
+        "median_gap": gap,
+        "change_better_pairs": won,
+        "pairs": summary_["pairs"],
+        "met": bool(won >= CLAIM_WON * summary_["pairs"] and gap > summary_["parent_iqr"]),
+    }
+
+
 def _dump(obj, indent: int = 0) -> str:
     """JSON with each container that holds no container on one line."""
     items = obj.values() if isinstance(obj, dict) else obj
@@ -111,13 +138,22 @@ def _dump(obj, indent: int = 0) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) != 3:
-        print("usage: python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR OUT.json", file=sys.stderr)
-        return 2
-    checkouts = dict(zip(SIDES, argv[:2]))
+    parser = argparse.ArgumentParser(description="Run the benchmark in alternating pairs.")
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("out")
+    parser.add_argument("--change", required=True, help="what the change does")
+    parser.add_argument("--parent", required=True, help="the parent commit")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain")
+    args = parser.parse_args(argv)
+    checkouts = dict(zip(SIDES, (args.parent_dir, args.change_dir)))
     with open(os.path.join(checkouts["change"], "BENCHMARK.json")) as f:
         spec = json.load(f)
     metrics = spec["end_to_end"]
+    claim = args.claim.split(":") if args.claim else None
+    if claim and (len(claim) != 2 or claim[0] not in [w["name"] for w in spec["workloads"]]
+                  or claim[1] not in [m["name"] for m in metrics]):
+        parser.error(f"--claim {args.claim}: not WORKLOAD:METRIC of BENCHMARK.json")
     machine = None
     workloads = {}
     for w in (w["name"] for w in spec["workloads"]):
@@ -156,14 +192,22 @@ def main(argv) -> int:
             spans.setdefault(w, {})[side] = span_totals(checkouts[side], w)
     command = "python3 perfbench/run.py --workload W --seed N --seconds {} --trace {}"
     out = {
+        "change": args.change,
+        "parent": args.parent,
         "command": command.format(SECONDS, 0),
         "machine": machine,
         "seeds": f"{SEEDS[0]}-{SEEDS[-1]}, one pair per seed; the parent ran first in the 1st, 3rd, ... pair",
         "note": NOTE,
+    }
+    if claim:
+        w, m = claim
+        entry = workloads[w]["metrics"][m]
+        out["claim"] = claim_block(w, m, entry["better"], entry["summary"])
+    out.update({
         "workloads": workloads,
         "traced": {"command": command.format(SECONDS, 1), "runs": traced, "spans": spans},
-    }
-    with open(argv[2], "w") as f:
+    })
+    with open(args.out, "w") as f:
         f.write(_dump(out) + "\n")
     return 0
 
