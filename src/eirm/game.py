@@ -129,6 +129,12 @@ class TerminationRule:
     enabled: bool = True
     threshold: float = None  # optional manual accuracy threshold
 
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if not 0.0 <= self.quantile <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+
 
 class TerminationMonitor:
     """Fires when the tracked accuracy sits in the low quartile of a window.
@@ -174,11 +180,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        for name in ("batch_size", "steps_per_turn", "max_iters"):
+        for name in ("batch_size", "steps_per_turn", "max_iters", "test_every", "repr_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("hidden_dims", "phi_hidden_dims"):
+            if any(width < 1 for width in getattr(self, name)):
+                raise ValueError(f"{name}: every width must be >= 1, got {list(getattr(self, name))}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.activation not in nn.ACTIVATIONS:
+            raise ValueError(f"activation must be one of {list(nn.ACTIVATIONS)}, got {self.activation!r}")
         self.loss = Loss(self.loss)
 
 
@@ -280,18 +291,17 @@ def _gather(features, columns, keep) -> np.ndarray:
 
 
 def _distinct_pool(features):
-    """The feature arrays end to end, each distinct row once, without never-lit columns.
+    """Two or more feature arrays end to end, each distinct row once, without never-lit columns.
 
     Returns (pool, columns, rows): pool[rows] is the pooled rows cut to the kept
     column indices, bit for bit. columns is None when every column is kept and
-    rows is None when the pool holds every row in order. A lone array is used as
-    it is. Rows are grouped by _row_keys in first-occurrence order, and every
-    repeated row is checked against its pool row bit for bit; if two distinct
-    rows share a key, every row is kept. The pool is filled from the arrays
-    block by block, so no full-width copy of them is ever built.
+    rows is None when the pool holds every row in order. Rows are grouped by
+    _row_keys in first-occurrence order, so the distinct rows of a leading
+    array come first, and every repeated row is checked against its pool row
+    bit for bit; if two distinct rows share a key, every row is kept. The
+    pool is filled from the arrays block by block, so no full-width copy of
+    them is ever built.
     """
-    if len(features) == 1:
-        return features[0], None, None
     lit = np.logical_or.reduce([np.any(x, axis=0) for x in features])
     columns = None if lit.all() else np.flatnonzero(lit)
     keys = np.concatenate([_row_keys(x) for x in features])
@@ -329,18 +339,21 @@ class TraceRecorder:
 
     Built once per call: it pools the environments' features, targets and
     spurious bits and keeps each environment's row slice of the pool.
-    A lone environment's arrays are used as they are, not copied. Two or
-    more environments are copied into the pool anyway, so it keeps only
+    A lone environment's arrays are used as they are, not copied, and so are
+    the test split's features (`tail`). Two or more environments are copied
+    into the pool anyway, with the test split after them, so it keeps only
     the feature columns nonzero in some row (`columns`), and the network fed
     the pool runs with the matching rows of its first layer's weights. That
-    pool also holds each distinct row once: `rows` gives the pool row of
-    each pooled row, and every network's output is gathered back through it
-    before the row's figures are taken (None when all rows are distinct).
-    Each network's pooled output is kept with a copy of its parameters and
-    the input array it ran on, and a row reruns only the networks whose
+    pool also holds each distinct row once: first the training rows
+    (`features`), then the test rows that equal no training row (`tail`).
+    `rows` gives the pool row of each pooled training row and `test_rows`
+    that of each test row; every network's output is gathered back through
+    them before the row's figures are taken (None when the rows are in order).
+    Each network's output on `features` is kept with a copy of its parameters
+    and the input array it ran on, and a row reruns only the networks whose
     parameters or input changed since the previous row: after one player's
     turn, that player's network and the classifiers fed by a new
-    representation output.
+    representation output. A test step runs every network on `tail` alone.
     The `nn.predict` passes run from these methods, not from a public game
     function, so profilers see them as direct children of the training call.
     """
@@ -348,16 +361,34 @@ class TraceRecorder:
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
         self.data = [(env.features, self.loss.targets(env)) for env in envs]
-        self.features, self.columns, self.rows = _distinct_pool([x for x, _ in self.data])
         self.targets = _joined([y for _, y in self.data])
         bits = [getattr(env, "spurious_bits", None) for env in envs]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
         bounds = np.cumsum([0] + [x.shape[0] for x, _ in self.data])
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self.test_env = test_env
+        features = [x for x, _ in self.data]
+        tests = [] if test_env is None else [test_env.features]
+        self.rows = self.test_rows = None
+        if len(features) == 1:
+            self.features, self.columns = features[0], None
+            self.tail = tests[0] if tests else None
+        else:
+            pool, self.columns, rows = _distinct_pool(features + tests)
+            n = bounds[-1]
+            if rows is not None:
+                self.rows, self.test_rows = rows[:n], rows[n:]
+                n = int(self.rows.max()) + 1  # the training rows come first
+            self.features = pool[:n]
+            self.tail = pool[n:] if tests else None
+        self.test_targets = None if test_env is None else self.loss.targets(test_env)
         self.test_every = test_every
         # id(net) -> (net, parameter copies, input, output); holding net keeps its id unique
         self._runs = {}
+
+    def _predict(self, net: nn.Mlp, x: np.ndarray) -> np.ndarray:
+        """net's inference output on x, run with the pool's columns if x is pooled."""
+        pooled = x is self.features or x is self.tail
+        return nn.predict(_first_rows(net, self.columns) if pooled else net, x)
 
     def _output(self, net: nn.Mlp, x: np.ndarray, runs: dict) -> np.ndarray:
         """net's inference output on x, reused from the previous row if neither changed."""
@@ -365,10 +396,18 @@ class TraceRecorder:
         last = self._runs.get(id(net))
         if (last is None or last[2] is not x or len(last[1]) != len(params)
                 or not all(map(np.array_equal, last[1], params))):
-            run = _first_rows(net, self.columns) if x is self.features else net
-            last = (net, [p.copy() for p in params], x, nn.predict(run, x))
+            last = (net, [p.copy() for p in params], x, self._predict(net, x))
         runs[id(net)] = last
         return last[3]
+
+    def _test_accuracy(self, model: EnsembleModel, pooled: list) -> float:
+        """Test accuracy from each classifier's outputs on features, then on tail."""
+        phi = model.representation
+        z = self.tail if phi is None else self._predict(phi, self.tail)
+        outs = [self._predict(clf, z) for clf in model.classifiers]
+        if self.test_rows is not None:
+            outs = [np.concatenate([p, o])[self.test_rows] for p, o in zip(pooled, outs)]
+        return self.loss.accuracy(sum(outs) / model.n_envs, self.test_targets)
 
     def record(self, model: EnsembleModel, step: int, owner: str, monitor=None):
         """Returns (TraceRecord, whether monitor fired) for the model's current state."""
@@ -376,15 +415,14 @@ class TraceRecorder:
         runs = {}  # only this row's networks are kept for the next row
         phi = model.representation
         z = self.features if phi is None else self._output(phi, self.features, runs)
-        clf_outs = [self._output(clf, z, runs) for clf in model.classifiers]
+        pooled = [self._output(clf, z, runs) for clf in model.classifiers]
         self._runs = runs
-        if self.rows is not None:
-            clf_outs = [o[self.rows] for o in clf_outs]
+        clf_outs = pooled if self.rows is None else [o[self.rows] for o in pooled]
         out = sum(clf_outs) / model.n_envs
         env_outs = [(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)]
         test_acc = None
-        if self.test_env is not None and step % self.test_every == 0:
-            test_acc = evaluate(model, self.test_env, loss)["accuracy"]
+        if self.tail is not None and step % self.test_every == 0:
+            test_acc = self._test_accuracy(model, pooled)
         rec = TraceRecord(
             step,
             owner,

@@ -171,6 +171,14 @@ BAD_CONFIGS = [
     ({"height": 0}, "height"),
     ({"sizes": [60], "flip_probs": [0.9]}, "sizes"),
     ({"sizes": [60, 60], "flip_probs": [0.2, 0.9], "methods": ["ROBUST"]}, "methods"),
+    ({"train": {"test_every": 0}}, "train.test_every"),
+    ({"train": {"termination": {"window": 0}}}, "train.termination.window"),
+    ({"train": {"termination": {"quantile": 1.5}}}, "train.termination.quantile"),
+    ({"train": {"termination": {"quantile": -0.1}}}, "train.termination.quantile"),
+    ({"train": {"activation": "tanh"}}, "train.activation"),
+    ({"train": {"hidden_dims": [0]}}, "train.hidden_dims"),
+    ({"train": {"phi_hidden_dims": [8, 0]}}, "train.phi_hidden_dims"),
+    ({"train": {"repr_dim": 0}}, "train.repr_dim"),
 ]
 
 
@@ -196,11 +204,12 @@ def test_config_validation_names_the_field(tmp_path):
         TrainConfig(loss="mse")
 
 
-def test_config_error_exit_code(tmp_path):
+def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for raw in [{"benchmark": "NOPE"}, *(raw for raw, _ in BAD_CONFIGS)]:
+    for raw, field in [({"benchmark": "NOPE"}, "benchmark"), *BAD_CONFIGS]:
         path.write_text(json.dumps(raw))
-        assert main(["run", str(path)]) == 2
+        assert main(["run", str(path)]) == 2, field
+        assert field in capsys.readouterr().err, field
 
 
 def test_truncated_checkpoint_exit_code(tmp_path, capsys):

@@ -477,10 +477,12 @@ def test_colliding_row_keys_keep_every_row(monkeypatch):
     ref, _ = full.record(model, 1, "check")
     monkeypatch.setattr(game, "_row_keys", lambda x: np.zeros(x.shape[0]))
     recorder = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
-    assert recorder.rows is None
+    assert recorder.rows is None and recorder.test_rows is None
     npt.assert_array_equal(recorder.features, full.features[:, recorder.columns])
+    npt.assert_array_equal(recorder.tail, bench.test_env.features[:, recorder.columns])
     rec, _ = recorder.record(model, 1, "check")
     _assert_rows_match(rec, ref, model, envs, "colliding keys")
+    assert rec.test_acc == evaluate(model, bench.test_env)["accuracy"]
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():
@@ -498,6 +500,72 @@ def test_narrowed_pool_rows_equal_a_full_width_pools():
         narrowed = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
         assert narrowed.features.shape[1] < pool.features.shape[1]
         assert narrowed.features.shape[0] < pool.features.shape[0]
+        assert narrowed.tail.shape[0] < bench.test_env.features.shape[0]
         rec, _ = narrowed.record(model, 1, "check")
         ref, _ = full.record(model, 1, "check")
         _assert_rows_match(rec, ref, model, envs, name)
+
+
+class _EvaluatedRecorder(TraceRecorder):
+    """Checks every test accuracy against evaluate on the test split for the same state."""
+
+    checked = 0
+
+    def __init__(self, envs, loss, test_env, test_every):
+        super().__init__(envs, loss, test_env, test_every)
+        self.test_env = test_env
+
+    def record(self, model, step, owner, monitor=None):
+        rec, fired = super().record(model, step, owner, monitor)
+        if rec.test_acc is not None:
+            assert rec.test_acc == evaluate(model, self.test_env)["accuracy"], (owner, step)
+            _EvaluatedRecorder.checked += 1
+        return rec, fired
+
+
+def test_test_accuracy_equals_evaluate_for_every_method(monkeypatch):
+    monkeypatch.setattr(game, "TraceRecorder", _EvaluatedRecorder)
+    monkeypatch.setattr(baselines, "TraceRecorder", _EvaluatedRecorder)
+    bench = _small_bench(n=120)
+    cfg = _small_cfg(max_iters=6, dropout_rate=0.5, lr=1e-2, test_every=2)
+    envs, test = bench.train_envs, bench.test_env
+    runs = {
+        "F_IRM": lambda: best_response_train(envs, cfg, FIXED_PHI, test_env=test),
+        "V_IRM": lambda: best_response_train(envs, cfg, VARIABLE_PHI, test_env=test),
+        "ROBUST": lambda: baselines.train_robust_minmax(envs, cfg, test_env=test),
+        "ERM": lambda: baselines.train_erm(envs, cfg, test_env=test),
+        "ORACLE": lambda: baselines.train_erm([bench.oracle_env], cfg, test_env=bench.oracle_test),
+    }
+    for name, run in runs.items():
+        before = _EvaluatedRecorder.checked
+        run()
+        assert _EvaluatedRecorder.checked > before, name
+
+
+def test_lone_environment_runs_the_test_split_as_it_is():
+    bench = _small_bench(n=120)
+    for env, test in ((bench.train_envs[0], bench.test_env), (bench.oracle_env, bench.oracle_test)):
+        recorder = TraceRecorder([env], CROSS_ENTROPY, test, 1)
+        assert recorder.features is env.features and recorder.tail is test.features
+        assert recorder.columns is None and recorder.rows is None and recorder.test_rows is None
+    assert TraceRecorder([env], CROSS_ENTROPY, None, 1).tail is None
+
+
+def _row_bytes(x):
+    return (row.tobytes() for row in x)
+
+
+def test_tail_holds_the_distinct_test_rows_no_training_row_equals():
+    bench = _small_bench(n=200)
+    recorder = TraceRecorder(bench.train_envs, CROSS_ENTROPY, bench.test_env, 1)
+    cols = recorder.columns
+    train = np.vstack([env.features for env in bench.train_envs])[:, cols]
+    test = bench.test_env.features[:, cols]
+    seen = set(_row_bytes(train))
+    new = [row for row in _row_bytes(test) if row not in seen]
+    assert 0 < len(set(new)) < len(new) < test.shape[0]  # test rows repeat and meet training rows
+    assert list(_row_bytes(recorder.tail)) == list(dict.fromkeys(new))  # first-occurrence order
+    assert list(_row_bytes(recorder.features)) == list(dict.fromkeys(_row_bytes(train)))
+    pool = np.vstack([recorder.features, recorder.tail])
+    assert pool[recorder.test_rows].tobytes() == test.tobytes()
+    assert pool[recorder.rows].tobytes() == train.tobytes()

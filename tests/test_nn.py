@@ -92,6 +92,52 @@ def test_predict_keeps_no_layer_outputs():
     assert by_predict <= by_forward - layer_output
 
 
+def _block_rows(width):
+    return nn._BLOCK_BYTES // (8 * width)
+
+
+def test_predict_stacks_forward_over_row_blocks_bit_for_bit():
+    rng = Rng(12)
+    block = _block_rows(390)
+    x = rng.normal(scale=2.0, size=(3 * block + 101, 7))  # three blocks and a ragged one
+    for kind in nn.ACTIVATIONS:
+        net = nn.make_mlp((7, 390, 390, 2), rng.child(kind), hidden_activation=kind)
+        for i, layer in enumerate(net.layers):
+            layer.bias[:] = rng.child(f"{kind}{i}").normal(size=layer.out_dim)
+        stacked = np.vstack([nn.forward(net, x[lo : lo + block])[0]
+                             for lo in range(0, x.shape[0], block)])
+        assert nn.predict(net, x).tobytes() == stacked.tobytes(), kind
+
+
+def test_predict_peak_memory_is_a_few_blocks_whatever_the_rows():
+    net = nn.make_mlp((16, 390, 390, 2), Rng(7))
+    beyond_output = []
+    for n in (10000, 20000):
+        x = Rng(8).normal(size=(n, 16))
+        beyond_output.append(_peak_bytes(lambda: nn.predict(net, x)) - n * 2 * x.itemsize)
+    assert beyond_output[1] <= 3 * nn._BLOCK_BYTES  # one unblocked layer output is 62 MB
+    assert abs(beyond_output[1] - beyond_output[0]) <= 4096
+
+
+def test_desk_widths_run_as_one_block(monkeypatch):
+    blocks = []
+
+    def counted(net, x):
+        blocks.append(x.shape[0])
+        return run(net, x)
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", counted)
+    net = nn.make_mlp((392, 64, 64, 2), Rng(9))
+    rows = _block_rows(64)
+    assert rows == 4096  # above every desk pool (at most 4000 rows) and test split
+    x = Rng(10).normal(size=(rows, 392))
+    assert nn.predict(net, x).tobytes() == nn.forward(net, x)[0].tobytes()
+    assert blocks == [rows]
+    nn.predict(net, np.vstack([x, x[:1]]))
+    assert blocks == [rows, rows, 1]
+
+
 def test_elu_values():
     layer = nn.DenseLayer(np.eye(1), np.zeros(1), "elu")
     net = nn.Mlp([layer])
