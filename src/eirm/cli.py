@@ -40,7 +40,7 @@ from .game import (
 from .sem_game import causal_projection, default_sem_spec, train_sem_game
 from .theory import QuadGameSpec, bounded_linear_ne, scalar_game_grid, verify_invariance, verify_nash
 from .core import FormatError, Rng
-from . import nn
+from . import nn, theory
 
 METHODS = ("F_IRM", "V_IRM", "ERM", "ERM_PER_ENV", "ROBUST", "ORACLE")
 
@@ -71,11 +71,15 @@ class ExperimentConfig:
             raise ConfigError(f"benchmark: unknown name {self.benchmark!r}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown method {m!r}")
         if len(self.sizes) != len(self.flip_probs):
-            raise ConfigError("sizes: length must match flip_probs")
+            raise ConfigError(
+                f"sizes: {len(self.sizes)} entries, but flip_probs has {len(self.flip_probs)}"
+            )
         if any(size < 1 for size in self.sizes):
             raise ConfigError(f"sizes: every size must be >= 1, got {list(self.sizes)}")
         if len(self.sizes) < 2:
@@ -324,17 +328,23 @@ def _write_report(kv: dict, text: str, path) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config, preset=args.preset)
+    if cfg.seed + args.seed_offset < 0:
+        raise ConfigError(f"--seed-offset: seed {cfg.seed} + {args.seed_offset} is below 0")
     run_experiment(cfg, seed_offset=args.seed_offset, out_dir=args.out)
     return 0
+
+
+def _quad_spec(args, **kw) -> QuadGameSpec:
+    try:
+        return QuadGameSpec(minimizers=(args.c1, args.c2), lo=args.lo, hi=args.hi, **kw)
+    except ValueError as exc:
+        raise ConfigError(f"theory {args.sub}: {exc}") from exc
 
 
 def cmd_theory(args) -> int:
     report_path = args.report
     if args.sub == "grid":
-        spec = QuadGameSpec(
-            minimizers=(args.c1, args.c2), lo=args.lo, hi=args.hi, step=args.step
-        )
-        res = scalar_game_grid(spec)
+        res = scalar_game_grid(_quad_spec(args, step=args.step))
         note = ""
         if not res.invariant_set:
             note = " (no invariant predictor exists on this instance)"
@@ -346,12 +356,17 @@ def cmd_theory(args) -> int:
         _write_report(res.to_kv(), text, report_path)
         return 0
     if args.sub == "bounded":
-        spec = QuadGameSpec(minimizers=(args.c1, args.c2), lo=args.lo, hi=args.hi)
-        pair, interior = bounded_linear_ne(spec)
+        pair, interior = bounded_linear_ne(_quad_spec(args))
         kv = {"w1": pair[0], "w2": pair[1], "interior": interior}
         _write_report(kv, f"fixed point {pair}, interior={interior}", report_path)
         return 0
     # nash / invariance run against the linear-SEM scenario
+    if args.seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+    if args.sub == "nash" and args.budget < theory.MIN_BUDGET:
+        raise ConfigError(f"--budget: must be at least {theory.MIN_BUDGET}, got {args.budget}")
+    if args.sub == "invariance" and args.samples < theory.MIN_SAMPLES:
+        raise ConfigError(f"--samples: must be at least {theory.MIN_SAMPLES}, got {args.samples}")
     if args.checkpoints:
         spec = default_sem_spec()
         envs, gamma = make_linear_sem(spec, Rng(args.seed).child("sem-data"))
@@ -378,6 +393,10 @@ def cmd_theory(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    ExperimentConfig(
+        benchmark=args.benchmark, sizes=tuple(args.sizes), data_dir=args.data_dir,
+        height=args.height, width=args.width, seed=args.seed,
+    ).validate()
     bench = make_benchmark(
         args.benchmark, tuple(args.sizes), args.seed, data_dir=args.data_dir,
         height=args.height, width=args.width,

@@ -5,7 +5,9 @@ with the arithmetic mean of all classifiers. Environments take turns
 minimizing their own risk of the shared ensemble (optionally preceded by a
 representation turn that minimizes the summed risk). Training stops when a
 rolling-window quantile rule catches the ensemble in its low-accuracy,
-low-spurious-correlation state.
+low-spurious-correlation state. The same loop trains the baselines: ERM is a
+game of one, and the robust min-max baseline's one classifier takes a
+worst-environment step as its only turn.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import Rng, ShapeError, cross_entropy, mean_squared_error, pearson, s
 
 FIXED_PHI = "fixed_phi"
 VARIABLE_PHI = "variable_phi"
+ROBUST = "robust"  # one classifier, a min-max step per iteration
 
 
 class Loss(str, Enum):
@@ -440,22 +443,23 @@ class TraceRecorder:
 
 
 class _Batcher:
-    """Cycles a per-environment shuffled index permutation, reshuffled per epoch."""
+    """Batches of one environment's rows in a shuffled order, reshuffled per epoch."""
 
-    def __init__(self, n: int, batch_size: int, rng: Rng):
-        self.n = n
-        self.batch_size = min(batch_size, n)
+    def __init__(self, x: np.ndarray, y: np.ndarray, batch_size: int, rng: Rng):
+        self.x, self.y, self.n = x, y, x.shape[0]
+        self.batch_size = min(batch_size, self.n)
         self.rng = rng
-        self.order = rng.permutation(n)
+        self.order = rng.permutation(self.n)
         self.pos = 0
 
-    def next(self) -> np.ndarray:
+    def next(self) -> tuple:
+        """The next batch's (features, targets)."""
         if self.pos + self.batch_size > self.n:
             self.order = self.rng.permutation(self.n)
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.batch_size]
         self.pos += self.batch_size
-        return idx
+        return self.x[idx], self.y[idx]
 
 
 def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
@@ -516,6 +520,28 @@ def phi_turn(model: EnsembleModel, env_batches, opt: nn.AdamState,
     nn.adam_step(opt, phi.parameters(), total)
 
 
+def robust_turn(model: EnsembleModel, env_batches, opt: nn.AdamState, rngs,
+                loss: str = CROSS_ENTROPY) -> None:
+    """One min-max step of the robust model's lone classifier.
+
+    env_batches is a list of (x, y), one per environment, each run in train
+    mode with its own dropout stream from rngs. Only the worst environment's
+    batch risk (plus the L2 penalty) is descended; ties go to the lowest index.
+    """
+    if model.mode != ROBUST:
+        raise ValueError("robust_turn requires a robust model")
+    loss, clf = Loss(loss), model.classifiers[0]
+    turns = []  # (risk, outputs, targets, cache) per environment
+    penalty = nn.regularization_loss(clf)  # the model is fixed within the step
+    for (x, y), rng in zip(env_batches, rngs):
+        out, cache = nn.forward(clf, x, train_mode=True, rng=rng)
+        turns.append((loss.risk(out, y) + penalty, out, y, cache))
+    # argmax takes the first max: ties go to the lowest index
+    _, out, y, cache = turns[int(np.argmax([t[0] for t in turns]))]
+    grads, _ = nn.backward(clf, cache, loss.grad(out, y))
+    nn.adam_step(opt, clf.parameters(), grads)
+
+
 def evaluate(model: EnsembleModel, dataset, loss: str = CROSS_ENTROPY) -> dict:
     """Accuracy (argmax, ties to class 0) and mean risk, inference mode."""
     loss = Loss(loss)
@@ -567,10 +593,12 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     """Play the ensemble game by round-robin best response; returns (model, trace).
 
     Turn order per iteration: representation turn (variable-phi only), then
-    each environment in index order for steps_per_turn gradient steps. The
-    trace records one row after every player's turn. The returned model is
-    the state at termination, which is the low-correlation state the
-    monitor is designed to catch.
+    each environment in index order for steps_per_turn gradient steps. In
+    ROBUST mode the model has one classifier, and each iteration is one
+    robust_turn over a batch of every environment. The trace records one row
+    after every player's turn. The returned model is the state at
+    termination, which is the low-correlation state the monitor is designed
+    to catch. A model passed in must be of this mode and size.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -578,11 +606,15 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
         if env.features.shape[0] == 0:
             raise ValueError("empty environment")
     rng = Rng(config.seed)
+    n_classifiers = 1 if mode == ROBUST else len(envs)
     if model is None:
-        model = build_ensemble(envs, config, mode, rng.child("init"))
+        model = build_ensemble(envs[:n_classifiers], config, mode, rng.child("init"))
+    elif model.mode != mode:
+        raise ValueError(f"model is a {model.mode} model, the game is {mode}")
+    elif model.n_envs != n_classifiers:
+        raise ValueError(f"model has {model.n_envs} classifiers, the game needs {n_classifiers}")
     loss = config.loss
     recorder = TraceRecorder(envs, loss, test_env, config.test_every)
-    data = recorder.data
 
     warm = max(1, recorder.targets.shape[0] // config.batch_size)  # one epoch of pooled rows
     rule = config.termination
@@ -591,8 +623,8 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
                if rule.enabled else None)
 
     batchers = [
-        _Batcher(x.shape[0], config.batch_size, rng.child(f"batch{e}"))
-        for e, (x, _) in enumerate(data)
+        _Batcher(x, y, config.batch_size, rng.child(f"batch{e}"))
+        for e, (x, y) in enumerate(recorder.data)
     ]
     opts = [
         nn.AdamState.for_params(clf.parameters(), lr=config.lr)
@@ -616,21 +648,21 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
         return fired
 
     for _ in range(config.max_iters):
+        if mode == ROBUST:
+            robust_turn(model, [b.next() for b in batchers], opts[0],
+                        [drop_rng.child(f"s{step + 1}e{e}") for e in range(len(envs))], loss)
+            if record("robust"):
+                return model, trace
+            continue
         if mode == VARIABLE_PHI:
             for _ in range(config.steps_per_turn):
-                env_batches = []
-                for e, (x, y) in enumerate(data):
-                    idx = batchers[e].next()
-                    env_batches.append((x[idx], y[idx]))
-                phi_turn(model, env_batches, phi_opt,
+                phi_turn(model, [b.next() for b in batchers], phi_opt,
                          rng=drop_rng.child(f"phi{step}"), loss=loss)
             if record("phi"):
                 return model, trace
         for e in range(model.n_envs):
             for k in range(config.steps_per_turn):
-                idx = batchers[e].next()
-                x, y = data[e]
-                env_turn(model, e, x[idx], y[idx], opts[e],
+                env_turn(model, e, *batchers[e].next(), opts[e],
                          rng=drop_rng.child(f"env{e}_{step}_{k}"), loss=loss)
             if record(f"env{e}"):
                 return model, trace

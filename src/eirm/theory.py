@@ -42,6 +42,8 @@ class QuadGameSpec:
             raise ValueError("curvatures must be positive")
         if abs(self.lo + self.hi) > 1e-12:
             raise ValueError("grid must be symmetric about 0")
+        if not self.step > 0:
+            raise ValueError("grid step must be positive")
         if self.n_points < 11:
             raise ValueError("grid needs at least 11 points")
 
@@ -198,8 +200,28 @@ class DeviationReport:
         return "\n".join(lines)
 
 
+MIN_BUDGET = 100  # fewest retraining steps verify_nash takes
+MIN_SAMPLES = 100  # fewest perturbation samples verify_invariance takes
+
+
 def _full_risk(model: EnsembleModel, env, loss: Loss) -> float:
     return loss.risk(ensemble_logits(model, env.features), loss.targets(env))
+
+
+def _retrain(trial: EnsembleModel, e: int, env, loss: Loss, steps: int, lr: float,
+             rng: Rng, batch_size: int = 256):
+    """Trains classifier e of trial alone on env by env_turn; yields after each step.
+
+    Step k draws its batch with replacement from rng and its dropout stream
+    from rng.child(f"drop{k}"); the value yielded is k.
+    """
+    x, y = env.features, loss.targets(env)
+    opt = nn.AdamState.for_params(trial.classifiers[e].parameters(), lr=lr)
+    bs = min(batch_size, x.shape[0])
+    for step in range(1, steps + 1):
+        idx = rng.integers(0, x.shape[0], size=bs)
+        env_turn(trial, e, x[idx], y[idx], opt, rng=rng.child(f"drop{step}"), loss=loss)
+        yield step
 
 
 def verify_nash(
@@ -219,29 +241,18 @@ def verify_nash(
     full-dataset risk found along the retraining path. Gains are relative
     to the starting risk, so they are never negative.
     """
-    if deviation_budget < 100:
-        raise ValueError("deviation budget must be at least 100 steps")
+    if deviation_budget < MIN_BUDGET:
+        raise ValueError(f"deviation budget must be at least {MIN_BUDGET} steps")
     loss = Loss(loss)
     rng = Rng(seed)
     eval_every = max(1, deviation_budget // 20)
     entries = []
     for e, env in enumerate(envs):
-        x, y = env.features, loss.targets(env)
-        before = _full_risk(model, env, loss)
-        clone = model.classifiers[e].copy()
-        trial = EnsembleModel(
-            [clone if q == e else c for q, c in enumerate(model.classifiers)],
-            model.representation,
-            model.mode,
-        )
-        opt = nn.AdamState.for_params(clone.parameters(), lr=lr)
-        bs = min(batch_size, x.shape[0])
-        order_rng = rng.child(f"dev{e}")
-        best = before
-        for step in range(1, deviation_budget + 1):
-            idx = order_rng.integers(0, x.shape[0], size=bs)
-            env_turn(trial, e, x[idx], y[idx], opt,
-                     rng=order_rng.child(f"drop{step}"), loss=loss)
+        before = best = _full_risk(model, env, loss)
+        clfs = [c.copy() if q == e else c for q, c in enumerate(model.classifiers)]
+        trial = EnsembleModel(clfs, model.representation, model.mode)
+        steps = _retrain(trial, e, env, loss, deviation_budget, lr, rng.child(f"dev{e}"), batch_size)
+        for step in steps:
             if step % eval_every == 0 or step == deviation_budget:
                 best = min(best, _full_risk(trial, env, loss))
         entries.append(
@@ -316,8 +327,8 @@ def verify_invariance(
     environment retrains. Fails when any candidate improves any
     environment's risk by more than eps, with the representation frozen.
     """
-    if n_perturb < 100:
-        raise ValueError("need at least 100 perturbation samples")
+    if n_perturb < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} perturbation samples")
     loss = Loss(loss)
     rng = rng or Rng(0)
     avg = average_classifier(model)
@@ -336,17 +347,10 @@ def verify_invariance(
                 p += noise.normal(scale=scale * max(rms, 1e-12), size=p.shape)
             candidates.append(cand)
     for e, env in enumerate(envs):
-        x, y = env.features, loss.targets(env)
         cand = avg.copy()
-        opt = nn.AdamState.for_params(cand.parameters(), lr=lr)
-        batch_rng = rng.child(f"retrain{e}")
-        bs = min(256, x.shape[0])
-        for _ in range(retrain_steps):
-            idx = batch_rng.integers(0, x.shape[0], size=bs)
-            z = model.represent(x[idx])
-            out, cache = nn.forward(cand, z, train_mode=False)
-            grads, _ = nn.backward(cand, cache, loss.grad(out, y[idx]))
-            nn.adam_step(opt, cand.parameters(), grads)
+        retrain = EnsembleModel([cand], model.representation, "fixed_phi")
+        for _ in _retrain(retrain, 0, env, loss, retrain_steps, lr, rng.child(f"retrain{e}")):
+            pass
         candidates.append(cand)
 
     bests = list(baselines)

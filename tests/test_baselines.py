@@ -1,10 +1,25 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from eirm import nn
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
+from eirm.core import Rng
 from eirm.datasets import EnvironmentDataset, make_benchmark
-from eirm.game import CROSS_ENTROPY, SQUARED, TerminationRule, TraceRecorder, TrainConfig, evaluate
+from eirm.game import (
+    CROSS_ENTROPY,
+    FIXED_PHI,
+    SQUARED,
+    Loss,
+    TerminationRule,
+    TraceRecorder,
+    TrainConfig,
+    TrainTrace,
+    build_ensemble,
+    evaluate,
+)
 
 
 def _cfg(**kw):
@@ -113,3 +128,61 @@ def test_robust_trace_owner():
     _, trace = train_robust_minmax(bench.train_envs, _cfg(max_iters=10))
     assert all(r.turn_owner == "robust" for r in trace.records)
     assert [r.step for r in trace.records] == list(range(1, 11))
+
+
+class _IndexBatcher:
+    """Cycles a shuffled index permutation, reshuffled per epoch."""
+
+    def __init__(self, n, batch_size, rng):
+        self.n, self.batch_size, self.rng = n, min(batch_size, n), rng
+        self.order, self.pos = rng.permutation(n), 0
+
+    def next(self):
+        if self.pos + self.batch_size > self.n:
+            self.order, self.pos = self.rng.permutation(self.n), 0
+        self.pos += self.batch_size
+        return self.order[self.pos - self.batch_size : self.pos]
+
+
+def _reference_robust_minmax(envs, config, test_env=None):
+    """The robust min-max baseline as its own loop, before it became a turn of the game's."""
+    loss = Loss(config.loss)
+    rng = Rng(config.seed)
+    recorder = TraceRecorder(envs, loss, test_env, config.test_every)
+    data = recorder.data
+    model = build_ensemble(envs[:1], config, FIXED_PHI, rng.child("init")).classifiers[0]
+    opt = nn.AdamState.for_params(model.parameters(), lr=config.lr)
+    batchers = [
+        _IndexBatcher(x.shape[0], config.batch_size, rng.child(f"batch{e}"))
+        for e, (x, _) in enumerate(data)
+    ]
+    drop_rng = rng.child("dropout")
+    trace = TrainTrace()
+    for step in range(1, config.max_iters + 1):
+        turns = []
+        penalty = nn.regularization_loss(model)
+        for e, (x, y) in enumerate(data):
+            idx = batchers[e].next()
+            out, cache = nn.forward(
+                model, x[idx], train_mode=True, rng=drop_rng.child(f"s{step}e{e}")
+            )
+            turns.append((loss.risk(out, y[idx]) + penalty, out, y[idx], cache))
+        _, out, by, cache = turns[int(np.argmax([t[0] for t in turns]))]
+        grads, _ = nn.backward(model, cache, loss.grad(out, by))
+        nn.adam_step(opt, model.parameters(), grads)
+        trace.append(recorder.record(as_ensemble(model), step, "robust")[0])
+    return model, trace
+
+
+def test_robust_minmax_equals_its_own_loop():
+    # dropout on, a steps_per_turn that ROBUST ignores, and a test split
+    bench = make_benchmark("COLORED_SHAPES", (150, 150, 150), 3)
+    cfg = _cfg(dropout_rate=0.5, steps_per_turn=2, max_iters=25, batch_size=64, test_every=5)
+    model, trace = train_robust_minmax(bench.train_envs, cfg, test_env=bench.test_env)
+    ref, ref_trace = _reference_robust_minmax(bench.train_envs, cfg, test_env=bench.test_env)
+    for p, q in zip(model.parameters(), ref.parameters(), strict=True):
+        npt.assert_array_equal(p, q)
+    assert len(trace.records) == 25
+    assert [dataclasses.asdict(r) for r in trace.records] == [
+        dataclasses.asdict(r) for r in ref_trace.records
+    ]

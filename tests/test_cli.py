@@ -179,6 +179,7 @@ BAD_CONFIGS = [
     ({"train": {"hidden_dims": [0]}}, "train.hidden_dims"),
     ({"train": {"phi_hidden_dims": [8, 0]}}, "train.phi_hidden_dims"),
     ({"train": {"repr_dim": 0}}, "train.repr_dim"),
+    ({"seed": -1}, "seed"),
 ]
 
 
@@ -279,3 +280,25 @@ def test_theory_grid_report_file(tmp_path):
     text = report.read_text()
     assert "equal=True" in text
     assert "ne_pair_count=" in text
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["theory", "grid", "--step", "0"], "step"),
+    (["theory", "grid", "--lo", "-1", "--hi", "2"], "symmetric"),
+    (["theory", "bounded", "--lo", "1", "--hi", "-1"], "points"),
+    (["gen", "COLORED_SHAPES", "--sizes", "10"], "sizes"),
+    (["gen", "COLORED_SHAPES", "--seed", "-1"], "seed"),
+    (["theory", "nash", "--seed", "-1"], "--seed"),
+    (["theory", "nash", "--budget", "50"], "--budget"),
+    (["theory", "invariance", "--samples", "10"], "--samples"),
+    (["run", "CONFIG", "--seed-offset", "-1"], "--seed-offset"),
+])
+def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
+    # the certificates' minimums are checked before the SEM game is trained
+    monkeypatch.setattr(cli, "train_sem_game", None)
+    config, out = _write_config(tmp_path), tmp_path / "out"
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    assert main([*argv, "--out", str(out)] if argv[0] in ("gen", "run") else argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()

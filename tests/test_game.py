@@ -341,8 +341,25 @@ def test_empty_environment_rejected():
         labels = np.zeros(0, dtype=int)
         spurious_bits = None
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty environment"):
         best_response_train([Empty()], _small_cfg(), FIXED_PHI)
+    bench = make_benchmark("COLORED_SHAPES", (60, 60, 60), 0)
+    with pytest.raises(ValueError, match="empty environment"):
+        baselines.train_robust_minmax([bench.train_envs[0], Empty()], _small_cfg())
+
+
+def test_prebuilt_model_must_fit_the_game(monkeypatch):
+    monkeypatch.setattr(game, "TraceRecorder", None)  # rejected before it is built
+    bench = make_benchmark("COLORED_SHAPES", (60, 60, 60), 0)
+    envs, cfg = bench.train_envs, _small_cfg()
+    fixed = build_ensemble(envs, cfg, FIXED_PHI, Rng(0))
+    with pytest.raises(ValueError, match="fixed_phi model, the game is variable_phi"):
+        best_response_train(envs, cfg, VARIABLE_PHI, model=fixed)
+    with pytest.raises(ValueError, match="model has 2 classifiers"):
+        best_response_train(envs + envs[:1], cfg, FIXED_PHI, model=fixed)
+    lone = build_ensemble(envs[:1], cfg, FIXED_PHI, Rng(0))
+    with pytest.raises(ValueError, match="model has 1 classifiers"):
+        best_response_train(envs, cfg, FIXED_PHI, model=lone)
 
 
 class _CheckedRecorder(TraceRecorder):
@@ -364,7 +381,6 @@ class _CheckedRecorder(TraceRecorder):
 
 def test_recorder_rows_equal_a_fresh_recorders(monkeypatch):
     monkeypatch.setattr(game, "TraceRecorder", _CheckedRecorder)
-    monkeypatch.setattr(baselines, "TraceRecorder", _CheckedRecorder)
     bench = _small_bench(n=60)
     cfg = _small_cfg(max_iters=4, dropout_rate=0.5, test_every=3)
     runs = {
@@ -525,7 +541,6 @@ class _EvaluatedRecorder(TraceRecorder):
 
 def test_test_accuracy_equals_evaluate_for_every_method(monkeypatch):
     monkeypatch.setattr(game, "TraceRecorder", _EvaluatedRecorder)
-    monkeypatch.setattr(baselines, "TraceRecorder", _EvaluatedRecorder)
     bench = _small_bench(n=120)
     cfg = _small_cfg(max_iters=6, dropout_rate=0.5, lr=1e-2, test_every=2)
     envs, test = bench.train_envs, bench.test_env

@@ -1,4 +1,5 @@
-"""Print the sha256 of every trace CSV and results table of a short desk run.
+"""Print the sha256 of every trace CSV and results table of a short desk run,
+and the SEM certificates.
 
     python3 tools/trace_digests.py OUT_DIR
 
@@ -7,15 +8,20 @@ with the desk preset applied, then `cli.run_experiment`) for all six methods
 on seeds 0-2, cut to 30 game iterations and 40 baseline steps, and writes its
 outputs to OUT_DIR. It then prints `sha256  name` for every trace CSV,
 `results.csv` and `results.md`, sorted by name. `manifest.json` is left out:
-it records the wall time. The eirm it runs is the one in `src/` of the
-checkout this file sits in, so the output of two checkouts that train and
-trace alike is identical, and comparing them is one `diff`.
+it records the wall time. Last it runs `eirm theory nash` and `eirm theory
+invariance` at their default settings on SEM seeds 0-3 and prints every
+`key=value` line of their reports (floats as `repr`), prefixed with the
+subcommand and seed. The eirm it runs is the one in `src/` of the checkout
+this file sits in, so the output of two checkouts that train, trace and
+certify alike is identical, and comparing them is one `diff`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -27,6 +33,7 @@ from eirm import cli  # noqa: E402
 SEEDS = 3
 MAX_ITERS = 30
 BASELINE_ITERS = 40
+SEM_SEEDS = 4
 
 
 def run(out: str) -> list:
@@ -43,6 +50,19 @@ def run(out: str) -> list:
     return sorted(traces + ["results.csv", "results.md"])
 
 
+def certificates(out: str) -> list:
+    """The `eirm theory` nash and invariance report lines of every SEM seed."""
+    lines = []
+    for seed in range(SEM_SEEDS):
+        for sub in ("nash", "invariance"):
+            path = os.path.join(out, f"theory_{sub}_seed{seed}.txt")
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["theory", sub, "--seed", str(seed), "--report", path])
+            with open(path) as f:  # str() of a float is its repr
+                lines += [f"{sub}_seed{seed}  {line.rstrip()}" for line in f]
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/trace_digests.py OUT_DIR", file=sys.stderr)
@@ -51,6 +71,7 @@ def main(argv) -> int:
     for name in run(out):
         with open(os.path.join(out, name), "rb") as f:
             print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
+    print("\n".join(certificates(out)))
     return 0
 
 
