@@ -11,11 +11,9 @@ from .nn import (
     backward,
     finite_diff_check,
     forward,
-    load_model,
     make_mlp,
     net_loss,
     predict,
-    save_model,
 )
 from .datasets import (
     BENCHMARKS,
@@ -23,12 +21,10 @@ from .datasets import (
     EnvironmentDataset,
     LabeledImages,
     SemSpec,
-    load_environment,
     make_benchmark,
     make_linear_sem,
     make_spurious_env,
     read_idx,
-    save_environment,
     synth_shapes,
 )
 from .game import (

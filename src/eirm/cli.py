@@ -3,8 +3,7 @@
 `eirm run config.json` trains the configured methods over a seed sweep and
 writes one trace CSV per (method, seed), a results table (CSV + markdown),
 and a manifest. `eirm theory ...` fronts the equilibrium/invariance
-certificates, exiting nonzero on failure. `eirm gen ...` writes benchmark
-environments to the binary dataset cache.
+certificates, exiting nonzero on failure.
 """
 
 from __future__ import annotations
@@ -20,27 +19,20 @@ import numpy as np
 
 from . import __version__
 from .baselines import as_ensemble, train_erm, train_robust_minmax
-from .datasets import (
-    BENCHMARKS,
-    DEFAULT_FLIP_PROBS,
-    make_benchmark,
-    make_linear_sem,
-    save_environment,
-)
+from .datasets import BENCHMARKS, DEFAULT_FLIP_PROBS, make_benchmark
 from .game import (
     FIXED_PHI,
     SQUARED,
     VARIABLE_PHI,
-    EnsembleModel,
     TerminationRule,
     TrainConfig,
     best_response_train,
     evaluate,
 )
-from .sem_game import causal_projection, default_sem_spec, train_sem_game
+from .sem_game import train_sem_game
 from .theory import QuadGameSpec, bounded_linear_ne, scalar_game_grid, verify_invariance, verify_nash
 from .core import FormatError, Rng
-from . import nn, theory
+from . import theory
 
 METHODS = ("F_IRM", "V_IRM", "ERM", "ERM_PER_ENV", "ROBUST", "ORACLE")
 
@@ -356,7 +348,7 @@ def cmd_theory(args) -> int:
         _write_report(res.to_kv(), text, report_path)
         return 0
     if args.sub == "bounded":
-        pair, interior = bounded_linear_ne(_quad_spec(args))
+        pair, interior = bounded_linear_ne(_quad_spec(args, step=None))
         kv = {"w1": pair[0], "w2": pair[1], "interior": interior}
         _write_report(kv, f"fixed point {pair}, interior={interior}", report_path)
         return 0
@@ -367,17 +359,7 @@ def cmd_theory(args) -> int:
         raise ConfigError(f"--budget: must be at least {theory.MIN_BUDGET}, got {args.budget}")
     if args.sub == "invariance" and args.samples < theory.MIN_SAMPLES:
         raise ConfigError(f"--samples: must be at least {theory.MIN_SAMPLES}, got {args.samples}")
-    if args.checkpoints:
-        spec = default_sem_spec()
-        envs, gamma = make_linear_sem(spec, Rng(args.seed).child("sem-data"))
-        classifiers = [nn.load_model(p) for p in args.checkpoints]
-        model = EnsembleModel(
-            classifiers,
-            causal_projection(spec.n_causal + spec.n_spurious, spec.n_causal),
-            FIXED_PHI,
-        )
-    else:
-        model, envs, gamma = train_sem_game(seed=args.seed)
+    model, envs, _ = train_sem_game(seed=args.seed)
     if args.sub == "nash":
         report = verify_nash(
             model, envs, deviation_budget=args.budget, eps=args.eps,
@@ -390,23 +372,6 @@ def cmd_theory(args) -> int:
         )
     _write_report(report.to_kv(), report.to_text(), report_path)
     return 0 if report.passed else 1
-
-
-def cmd_gen(args) -> int:
-    ExperimentConfig(
-        benchmark=args.benchmark, sizes=tuple(args.sizes), data_dir=args.data_dir,
-        height=args.height, width=args.width, seed=args.seed,
-    ).validate()
-    bench = make_benchmark(
-        args.benchmark, tuple(args.sizes), args.seed, data_dir=args.data_dir,
-        height=args.height, width=args.width,
-    )
-    os.makedirs(args.out, exist_ok=True)
-    for env in [*bench.train_envs, bench.test_env, bench.oracle_env, bench.oracle_test]:
-        path = os.path.join(args.out, f"{args.benchmark}_{env.env_id}.eenv")
-        save_environment(env, path)
-        print(f"wrote {path}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c2", type=float, default=0.5)
         p.add_argument("--lo", type=float, default=-2.0)
         p.add_argument("--hi", type=float, default=2.0)
-        p.add_argument("--step", type=float, default=0.1)
+        if name == "grid":
+            p.add_argument("--step", type=float, default=0.1)
         p.add_argument("--report", default=None)
     for name in ("nash", "invariance"):
         p = th_sub.add_parser(name)
@@ -438,20 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=1e-3)
         p.add_argument("--budget", type=int, default=500)
         p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--checkpoints", nargs="*", default=None,
-                       help="per-environment classifier checkpoints to certify")
         p.add_argument("--report", default=None)
     p_th.set_defaults(func=cmd_theory)
 
-    p_gen = sub.add_parser("gen", help="write benchmark environments to cache files")
-    p_gen.add_argument("benchmark", choices=BENCHMARKS)
-    p_gen.add_argument("--sizes", type=int, nargs="+", default=[2000, 2000, 2000])
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--data-dir", default=None)
-    p_gen.add_argument("--height", type=int, default=16)
-    p_gen.add_argument("--width", type=int, default=16)
-    p_gen.add_argument("--out", default="datasets")
-    p_gen.set_defaults(func=cmd_gen)
     return parser
 
 

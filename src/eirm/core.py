@@ -1,4 +1,4 @@
-"""Seeded randomness, losses, statistics, and a bounds-checked binary reader.
+"""Seeded randomness, losses, statistics, and the package's error types.
 
 Everything downstream (networks, datasets, the ensemble game) is built on
 the handful of primitives in this module. The losses and statistics work on
@@ -8,7 +8,6 @@ float64 numpy arrays and guarantee finite outputs.
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
 
@@ -21,31 +20,6 @@ class ShapeError(ValueError):
 
 class FormatError(ValueError):
     """Raised when a binary file does not match its declared format."""
-
-
-class BinaryReader:
-    """Reads a binary file's fields in order; a read past the end raises FormatError."""
-
-    def __init__(self, data: bytes, name):
-        self.data = data
-        self.name = name
-        self.pos = 0
-
-    def _take(self, n: int) -> int:
-        if n > len(self.data) - self.pos:
-            raise FormatError(
-                f"{self.name}: truncated at byte {len(self.data)}, "
-                f"{n} bytes needed at byte {self.pos}"
-            )
-        self.pos += n
-        return self.pos - n
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack_from(fmt, self.data, self._take(struct.calcsize(fmt)))
-
-    def array(self, dtype, count: int) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        return np.frombuffer(self.data, dtype, count, self._take(dtype.itemsize * count))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryReader, FormatError, Rng
+from .core import FormatError, Rng
 
 IDX_MAGIC_LABELS = 0x00000801
 IDX_MAGIC_IMAGES = 0x00000803
@@ -72,8 +72,6 @@ class Benchmark:
     test_env: EnvironmentDataset
     oracle_env: EnvironmentDataset
     oracle_test: EnvironmentDataset
-    height: int = 0
-    width: int = 0
 
 
 def read_idx(path):
@@ -259,7 +257,7 @@ def make_benchmark(
         test_src.images, test_env.labels, test_env.spurious_bits, "oracle_test",
         float("nan"),
     )
-    return Benchmark(train, test_env, oracle_env, oracle_test, src.height, src.width)
+    return Benchmark(train, test_env, oracle_env, oracle_test)
 
 
 @dataclass
@@ -311,41 +309,3 @@ def make_linear_sem(spec: SemSpec, rng: Rng):
             SemEnvironment(np.hstack([x_causal, x_spur]), y, f"sem{i}", float(alpha))
         )
     return envs, spec.gamma.copy()
-
-
-CACHE_MAGIC = b"EENV"
-CACHE_VERSION = 1
-
-
-def save_environment(env: EnvironmentDataset, path) -> None:
-    """One cache file per environment: header, features, labels, bits."""
-    n, d = env.features.shape
-    ident = env.env_id.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<IQQd", CACHE_VERSION, n, d, env.flip_prob))
-        f.write(struct.pack("<H", len(ident)))
-        f.write(ident)
-        f.write(np.ascontiguousarray(env.features, "<f8").tobytes())
-        f.write(np.ascontiguousarray(env.labels, "<i8").tobytes())
-        f.write(np.ascontiguousarray(env.spurious_bits, "u1").tobytes())
-
-
-def load_environment(path) -> EnvironmentDataset:
-    with open(path, "rb") as f:
-        reader = BinaryReader(f.read(), path)
-    (magic,) = reader.unpack("4s")
-    if magic != CACHE_MAGIC:
-        raise FormatError(f"bad cache magic at byte 0: {magic!r}")
-    version, n, d, p_e = reader.unpack("<IQQd")
-    if version != CACHE_VERSION:
-        raise FormatError(f"unsupported cache version {version}")
-    (id_len,) = reader.unpack("<H")
-    try:
-        env_id = reader.unpack(f"{id_len}s")[0].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: environment id is not UTF-8 ({exc})") from exc
-    features = reader.array("<f8", n * d).reshape(n, d).copy()
-    labels = reader.array("<i8", n).copy()
-    bits = reader.array("u1", n).astype(np.int64)
-    return EnvironmentDataset(features, labels, bits, env_id, p_e)

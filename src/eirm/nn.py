@@ -8,12 +8,11 @@ state and the finite-difference checker both rely on.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BinaryReader, FormatError, Rng, ShapeError, cross_entropy, softmax_rows
+from .core import Rng, ShapeError, cross_entropy, softmax_rows
 
 # The mask-free ELU kernels below rest on this value: the forward pass holds
 # for 0 <= ELU_ALPHA <= 1, the gradient for ELU_ALPHA == 1.
@@ -334,55 +333,3 @@ def finite_diff_check(
             err = abs(gflat[j] - numeric) / max(1e-8, abs(gflat[j]) + abs(numeric))
             worst = max(worst, err)
     return worst
-
-
-CHECKPOINT_MAGIC = b"EIRM"
-CHECKPOINT_VERSION = 1
-_ACT_CODE = {name: float(i) for i, name in enumerate(ACTIVATIONS)}
-_ACT_NAME = {float(i): name for i, name in enumerate(ACTIVATIONS)}
-
-
-def save_model(net: Mlp, path) -> None:
-    """Versioned binary checkpoint; all numeric fields little-endian float64."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(net.layers)))
-        for layer in net.layers:
-            f.write(
-                struct.pack(
-                    "<5d",
-                    float(layer.in_dim),
-                    float(layer.out_dim),
-                    _ACT_CODE[layer.activation],
-                    layer.l2_coeff,
-                    layer.dropout_rate,
-                )
-            )
-            f.write(np.ascontiguousarray(layer.weights, "<f8").tobytes())
-            f.write(np.ascontiguousarray(layer.bias, "<f8").tobytes())
-
-
-def load_model(path) -> Mlp:
-    with open(path, "rb") as f:
-        reader = BinaryReader(f.read(), path)
-    (magic,) = reader.unpack("4s")
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic at byte 0: {magic!r}")
-    version, n_layers = reader.unpack("<II")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if n_layers < 1:
-        raise FormatError(f"{path}: checkpoint has no layers")
-    layers = []
-    for i in range(n_layers):
-        n_in, n_out, act, l2, drop = reader.unpack("<5d")
-        if act not in _ACT_NAME or not all(v.is_integer() and v >= 0 for v in (n_in, n_out)):
-            raise FormatError(f"{path}: layer {i} has dims {n_in} x {n_out}, activation code {act}")
-        n_in, n_out = int(n_in), int(n_out)
-        w = reader.array("<f8", n_in * n_out).reshape(n_in, n_out)
-        b = reader.array("<f8", n_out)
-        layers.append((w.copy(), b.copy(), _ACT_NAME[act], l2, drop))
-    try:
-        return Mlp([DenseLayer(*fields) for fields in layers])
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

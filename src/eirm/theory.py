@@ -23,9 +23,11 @@ from .game import CROSS_ENTROPY, EnsembleModel, Loss, ensemble_logits, env_turn
 
 @dataclass
 class QuadGameSpec:
-    """Two-environment quadratic-risk game over a symmetric strategy grid.
+    """Two-environment quadratic-risk game on the strategy box [lo, hi].
 
     Environment e has risk a_e * (v - c_e)^2 + b_e of the ensemble value v.
+    With a step the box is also the symmetric strategy grid that
+    `scalar_game_grid` enumerates; `step=None` is a box with no grid.
     """
 
     curvatures: tuple = (1.0, 1.0)
@@ -38,22 +40,26 @@ class QuadGameSpec:
     def __post_init__(self):
         if len(self.curvatures) != 2 or len(self.minimizers) != 2:
             raise ValueError("exactly 2 environments supported")
+        for name in ("curvatures", "minimizers", "offsets", "lo", "hi", "step"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if min(self.curvatures) <= 0:
             raise ValueError("curvatures must be positive")
+        if not self.lo < self.hi:
+            raise ValueError(f"lo must be below hi, got lo={self.lo!r}, hi={self.hi!r}")
+        if self.step is None:
+            return
         if abs(self.lo + self.hi) > 1e-12:
             raise ValueError("grid must be symmetric about 0")
         if not self.step > 0:
             raise ValueError("grid step must be positive")
-        if self.n_points < 11:
+        if 2 * self.half_count + 1 < 11:
             raise ValueError("grid needs at least 11 points")
 
     @property
     def half_count(self) -> int:
         return int(round(self.hi / self.step))
-
-    @property
-    def n_points(self) -> int:
-        return 2 * int(round(self.hi / self.step)) + 1
 
     def risk(self, e: int, v) -> np.ndarray:
         return self.curvatures[e] * (np.asarray(v) - self.minimizers[e]) ** 2 + self.offsets[e]

@@ -1,15 +1,13 @@
 import dataclasses
 import json
-import os
 
 import numpy as np
 import pytest
 
-from eirm import cli, nn
+from eirm import cli
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.cli import METHODS, ConfigError, load_config, main
-from eirm.core import Rng
-from eirm.datasets import load_environment, make_benchmark
+from eirm.datasets import make_benchmark
 from eirm.game import (
     FIXED_PHI,
     VARIABLE_PHI,
@@ -213,14 +211,6 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert field in capsys.readouterr().err, field
 
 
-def test_truncated_checkpoint_exit_code(tmp_path, capsys):
-    path = tmp_path / "clf.eirm"
-    nn.save_model(nn.make_mlp((3, 1), Rng(0)), path)
-    path.write_bytes(path.read_bytes()[:30])
-    assert main(["theory", "nash", "--checkpoints", str(path), str(path)]) == 2
-    assert "truncated" in capsys.readouterr().err
-
-
 def test_missing_idx_corpus_is_a_config_error(tmp_path, monkeypatch):
     monkeypatch.delenv("EIRM_DATA_DIR", raising=False)
     cfg = _write_config(tmp_path, benchmark="COLORED_DIGITS")
@@ -237,26 +227,6 @@ def test_preset_overrides_architecture(tmp_path):
         load_config(cfg, preset="galactic")
 
 
-def test_gen_writes_loadable_caches(tmp_path, capsys):
-    out = tmp_path / "cache"
-    rc = main([
-        "gen", "COLORED_SHAPES", "--sizes", "40", "40", "40",
-        "--seed", "3", "--out", str(out),
-    ])
-    assert rc == 0
-    names = sorted(os.listdir(out))
-    assert names == [
-        "COLORED_SHAPES_env0.eenv",
-        "COLORED_SHAPES_env1.eenv",
-        "COLORED_SHAPES_oracle.eenv",
-        "COLORED_SHAPES_oracle_test.eenv",
-        "COLORED_SHAPES_test.eenv",
-    ]
-    env = load_environment(out / "COLORED_SHAPES_env0.eenv")
-    assert env.features.shape == (40, 16 * 16 * 3)
-    assert env.flip_prob == 0.2
-
-
 def test_theory_grid_exit_codes(capsys):
     assert main(["theory", "grid", "--c1", "0.5", "--c2", "0.5"]) == 0
     out = capsys.readouterr().out
@@ -269,6 +239,10 @@ def test_theory_grid_exit_codes(capsys):
 
 def test_theory_bounded_reports_fixed_point(capsys):
     assert main(["theory", "bounded", "--c1", "0.3", "--c2", "0.3"]) == 0
+    assert "interior=True" in capsys.readouterr().out
+    # a box too narrow for an 11-point grid: bounded builds no grid
+    narrow = ["--c1", "0.1", "--c2", "0.1", "--lo", "-0.3", "--hi", "0.3"]
+    assert main(["theory", "bounded", *narrow]) == 0
     assert "interior=True" in capsys.readouterr().out
 
 
@@ -285,20 +259,22 @@ def test_theory_grid_report_file(tmp_path):
 @pytest.mark.parametrize("argv, named", [
     (["theory", "grid", "--step", "0"], "step"),
     (["theory", "grid", "--lo", "-1", "--hi", "2"], "symmetric"),
-    (["theory", "bounded", "--lo", "1", "--hi", "-1"], "points"),
-    (["gen", "COLORED_SHAPES", "--sizes", "10"], "sizes"),
-    (["gen", "COLORED_SHAPES", "--seed", "-1"], "seed"),
+    (["theory", "bounded", "--lo", "1", "--hi", "-1"], "below"),
+    (["theory", "grid", "--c1", "nan"], "minimizers"),
+    (["theory", "grid", "--c2", "inf"], "minimizers"),
     (["theory", "nash", "--seed", "-1"], "--seed"),
     (["theory", "nash", "--budget", "50"], "--budget"),
     (["theory", "invariance", "--samples", "10"], "--samples"),
     (["run", "CONFIG", "--seed-offset", "-1"], "--seed-offset"),
+    (["theory", "grid", "--lo=-inf", "--hi", "inf"], "lo"),
+    (["theory", "bounded", "--c1", "nan"], "minimizers"),
 ])
 def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
     # the certificates' minimums are checked before the SEM game is trained
     monkeypatch.setattr(cli, "train_sem_game", None)
     config, out = _write_config(tmp_path), tmp_path / "out"
     argv = [str(config) if a == "CONFIG" else a for a in argv]
-    assert main([*argv, "--out", str(out)] if argv[0] in ("gen", "run") else argv) == 2
+    assert main([*argv, "--out", str(out)] if argv[0] == "run" else argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()

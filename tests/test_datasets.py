@@ -8,15 +8,12 @@ import pytest
 from eirm.core import FormatError, Rng
 from eirm.datasets import (
     DEFAULT_FLIP_PROBS,
-    EnvironmentDataset,
     SemSpec,
-    load_environment,
     load_idx_corpus,
     make_benchmark,
     make_linear_sem,
     make_spurious_env,
     read_idx,
-    save_environment,
     synth_shapes,
 )
 
@@ -185,40 +182,6 @@ def test_make_benchmark_missing_corpus(monkeypatch):
     monkeypatch.delenv("EIRM_DATA_DIR", raising=False)
     with pytest.raises(FileNotFoundError):
         make_benchmark("COLORED_FASHION", (10, 10, 10), 0)
-
-
-def test_environment_cache_roundtrip(tmp_path):
-    src = synth_shapes(30, 16, 16, Rng(11))
-    env = make_spurious_env(src, 0.3, "COLOR", Rng(12), env_id="env7")
-    path = tmp_path / "env.eenv"
-    save_environment(env, path)
-    back = load_environment(path)
-    npt.assert_array_equal(back.features, env.features)
-    npt.assert_array_equal(back.labels, env.labels)
-    npt.assert_array_equal(back.spurious_bits, env.spurious_bits)
-    assert back.env_id == "env7"
-    assert back.flip_prob == 0.3
-
-
-def test_environment_cache_bad_magic(tmp_path):
-    p = tmp_path / "junk.eenv"
-    p.write_bytes(b"XXXX" + bytes(40))
-    with pytest.raises(FormatError):
-        load_environment(p)
-
-
-def test_environment_cache_truncated_is_format_error(tmp_path):
-    env = EnvironmentDataset(
-        np.arange(12.0).reshape(4, 3), np.array([0, 1, 1, 0]), np.array([1, 0, 1, 1]),
-        "env7", 0.3,
-    )
-    path = tmp_path / "env.eenv"
-    save_environment(env, path)
-    raw = path.read_bytes()
-    for n in range(len(raw)):
-        path.write_bytes(raw[:n])
-        with pytest.raises(FormatError):
-            load_environment(path)
 
 
 def test_linear_sem_recovers_gamma_by_ols():

@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from eirm import nn
-from eirm.core import Rng, FormatError, ShapeError, softmax_rows
+from eirm.core import Rng, ShapeError, softmax_rows
 
 
 def _toy_batch(rng, n=12, d=5, classes=3):
@@ -272,60 +271,3 @@ def test_adam_rejects_mismatched_grads():
     state = nn.AdamState.for_params([p])
     with pytest.raises(ShapeError):
         nn.adam_step(state, [p], [np.zeros(4)])
-
-
-def test_checkpoint_roundtrip_bitexact(tmp_path):
-    net = nn.make_mlp((6, 9, 4), Rng(9), l2_coeff=1.25e-3, dropout_rate=0.75)
-    path = tmp_path / "model.eirm"
-    nn.save_model(net, path)
-    loaded = nn.load_model(path)
-    assert len(loaded.layers) == len(net.layers)
-    for a, b in zip(net.layers, loaded.layers):
-        npt.assert_array_equal(a.weights, b.weights)
-        npt.assert_array_equal(a.bias, b.bias)
-        assert a.activation == b.activation
-        assert a.l2_coeff == b.l2_coeff
-        assert a.dropout_rate == b.dropout_rate
-
-
-def test_checkpoint_magic_and_version_checked(tmp_path):
-    path = tmp_path / "bad.eirm"
-    path.write_bytes(b"NOPE" + bytes(16))
-    with pytest.raises(FormatError):
-        nn.load_model(path)
-    net = nn.make_mlp((2, 2), Rng(0))
-    good = tmp_path / "good.eirm"
-    nn.save_model(net, good)
-    raw = bytearray(good.read_bytes())
-    raw[4] = 99  # bump version field
-    bad = tmp_path / "vers.eirm"
-    bad.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        nn.load_model(bad)
-
-
-def test_checkpoint_truncated_or_corrupt_is_format_error(tmp_path):
-    path = tmp_path / "model.eirm"
-    nn.save_model(nn.make_mlp((3, 4, 2), Rng(1)), path)
-    raw = path.read_bytes()
-    cut = tmp_path / "cut.eirm"
-    for n in range(len(raw)):
-        cut.write_bytes(raw[:n])
-        with pytest.raises(FormatError):
-            nn.load_model(cut)
-    bad = bytearray(raw)
-    bad[12 + 16 : 12 + 24] = struct.pack("<d", 7.0)  # layer 0 activation code
-    cut.write_bytes(bytes(bad))
-    with pytest.raises(FormatError, match="activation"):
-        nn.load_model(cut)
-
-
-def test_loaded_model_same_predictions(tmp_path):
-    rng = Rng(10)
-    net = nn.make_mlp((5, 7, 2), rng, l2_coeff=0.01)
-    x = rng.child("x").normal(size=(20, 5))
-    before, _ = nn.forward(net, x)
-    path = tmp_path / "m.eirm"
-    nn.save_model(net, path)
-    after, _ = nn.forward(nn.load_model(path), x)
-    npt.assert_array_equal(before, after)

@@ -127,6 +127,14 @@ def test_grid_spec_validation():
         QuadGameSpec(lo=-1.0, hi=2.0)
     with pytest.raises(ValueError):
         QuadGameSpec(step=1.0)  # only 5 points
+    for field, kw in [("minimizers", {"minimizers": (float("nan"), 0.0)}),
+                      ("offsets", {"offsets": (0.0, float("inf"))}),
+                      ("lo", {"lo": float("-inf"), "hi": float("inf")}),
+                      ("below", {"lo": 1.0, "hi": -1.0, "step": None})]:
+        with pytest.raises(ValueError, match=field):
+            QuadGameSpec(**kw)
+    # a box with no grid needs neither symmetry nor 11 points
+    QuadGameSpec(lo=-0.3, hi=0.5, step=None)
 
 
 def test_bounded_interior_fixed_point():
