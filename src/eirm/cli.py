@@ -65,6 +65,10 @@ class ExperimentConfig:
             raise ConfigError("n_seeds: must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+        if self.train.seed != 0:
+            raise ConfigError(
+                f"train.seed: must be 0 (each run trains with its sweep seed), got {self.train.seed}"
+            )
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown method {m!r}")
@@ -355,6 +359,8 @@ def cmd_theory(args) -> int:
     # nash / invariance run against the linear-SEM scenario
     if args.seed < 0:
         raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+    if not (np.isfinite(args.eps) and args.eps > 0):
+        raise ConfigError(f"--eps: must be finite and positive, got {args.eps}")
     if args.sub == "nash" and args.budget < theory.MIN_BUDGET:
         raise ConfigError(f"--budget: must be at least {theory.MIN_BUDGET}, got {args.budget}")
     if args.sub == "invariance" and args.samples < theory.MIN_SAMPLES:
@@ -398,12 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "grid":
             p.add_argument("--step", type=float, default=0.1)
         p.add_argument("--report", default=None)
-    for name in ("nash", "invariance"):
+    for name, size, default in (("nash", "--budget", 500), ("invariance", "--samples", 100)):
         p = th_sub.add_parser(name)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=1e-3)
-        p.add_argument("--budget", type=int, default=500)
-        p.add_argument("--samples", type=int, default=100)
+        p.add_argument(size, type=int, default=default)
         p.add_argument("--report", default=None)
     p_th.set_defaults(func=cmd_theory)
 

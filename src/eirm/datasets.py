@@ -149,7 +149,6 @@ def make_spurious_env(
     mode: str,
     rng: Rng,
     env_id: str = "env",
-    noise_patches: bool = False,
 ) -> EnvironmentDataset:
     """Attach label noise and a spurious channel to a grayscale source.
 
@@ -174,13 +173,8 @@ def make_spurious_env(
         features = rgb.reshape(n, h * w * 3)
     elif mode == "PATCH":
         imgs = src.images.reshape(n, h, w).copy()
-        if noise_patches:
-            fill = rng.child("patch_noise")
-            imgs[z == 1, 0:3, 0:3] = fill.random((int((z == 1).sum()), 3, 3))
-            imgs[z == 0, h - 2 :, w - 2 :] = fill.random((int((z == 0).sum()), 2, 2))
-        else:
-            imgs[z == 1, 0:3, 0:3] = 1.0
-            imgs[z == 0, h - 2 :, w - 2 :] = 1.0
+        imgs[z == 1, 0:3, 0:3] = 1.0
+        imgs[z == 0, h - 2 :, w - 2 :] = 1.0
         features = imgs.reshape(n, h * w)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -88,8 +88,7 @@ SQUARED = Loss.SQUARED
 @dataclass
 class EnsembleModel:
     classifiers: list  # one Mlp per environment
-    representation: nn.Mlp = None  # None means identity (fixed-phi game)
-    mode: str = FIXED_PHI
+    representation: nn.Mlp = None  # None means identity
 
     def __post_init__(self):
         if not self.classifiers:
@@ -101,8 +100,6 @@ class EnsembleModel:
         if self.representation is not None:
             if self.representation.output_dim != self.classifiers[0].input_dim:
                 raise ShapeError("representation output does not match classifiers")
-        if self.mode == VARIABLE_PHI and self.representation is None:
-            raise ValueError("variable-phi game needs a representation network")
 
     @property
     def n_envs(self) -> int:
@@ -177,7 +174,6 @@ class TrainConfig:
     repr_dim: int = 390
     l2_coeff: float = 1.25e-3
     dropout_rate: float = 0.75
-    activation: str = "elu"
     test_every: int = 10  # trace cadence for test accuracy
 
     def __post_init__(self):
@@ -191,8 +187,6 @@ class TrainConfig:
                 raise ValueError(f"{name}: every width must be >= 1, got {list(getattr(self, name))}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.activation not in nn.ACTIVATIONS:
-            raise ValueError(f"activation must be one of {list(nn.ACTIVATIONS)}, got {self.activation!r}")
         self.loss = Loss(self.loss)
 
 
@@ -202,7 +196,6 @@ class TraceRecord:
     turn_owner: str
     ens_train_acc: float
     env_risks: list
-    env_accs: list
     ens_spur_corr: float
     w_spur_corrs: list
     test_acc: float = None
@@ -422,7 +415,6 @@ class TraceRecorder:
         self._runs = runs
         clf_outs = pooled if self.rows is None else [o[self.rows] for o in pooled]
         out = sum(clf_outs) / model.n_envs
-        env_outs = [(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)]
         test_acc = None
         if self.tail is not None and step % self.test_every == 0:
             test_acc = self._test_accuracy(model, pooled)
@@ -430,8 +422,7 @@ class TraceRecorder:
             step,
             owner,
             loss.accuracy(out, self.targets),
-            [loss.risk(o, y) for o, y in env_outs],
-            [loss.accuracy(o, y) for o, y in env_outs],
+            [loss.risk(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)],
             loss.spurious_correlation(out, self.bits),
             [loss.spurious_correlation(o, self.bits) for o in clf_outs],
             test_acc,
@@ -495,9 +486,9 @@ def phi_turn(model: EnsembleModel, env_batches, opt: nn.AdamState,
     parameters are untouched; gradients flow through every classifier into
     the shared representation.
     """
-    if model.mode != VARIABLE_PHI:
-        raise ValueError("phi_turn requires a variable-phi game")
     phi = model.representation
+    if phi is None:
+        raise ValueError("phi_turn needs a model with a representation network")
     total = [np.zeros_like(p) for p in phi.parameters()]
     for e, (x, y) in enumerate(env_batches):
         z, phi_cache = nn.forward(
@@ -524,17 +515,18 @@ def robust_turn(model: EnsembleModel, env_batches, opt: nn.AdamState, rngs,
                 loss: str = CROSS_ENTROPY) -> None:
     """One min-max step of the robust model's lone classifier.
 
-    env_batches is a list of (x, y), one per environment, each run in train
-    mode with its own dropout stream from rngs. Only the worst environment's
+    env_batches is a list of (x, y), one per environment, each represented as
+    in env_turn and run in train mode with its own dropout stream from rngs.
+    Only the worst environment's
     batch risk (plus the L2 penalty) is descended; ties go to the lowest index.
     """
-    if model.mode != ROBUST:
-        raise ValueError("robust_turn requires a robust model")
+    if model.n_envs != 1:
+        raise ValueError(f"robust_turn needs a model with one classifier, got {model.n_envs}")
     loss, clf = Loss(loss), model.classifiers[0]
     turns = []  # (risk, outputs, targets, cache) per environment
     penalty = nn.regularization_loss(clf)  # the model is fixed within the step
     for (x, y), rng in zip(env_batches, rngs):
-        out, cache = nn.forward(clf, x, train_mode=True, rng=rng)
+        out, cache = nn.forward(clf, model.represent(x), train_mode=True, rng=rng)
         turns.append((loss.risk(out, y) + penalty, out, y, cache))
     # argmax takes the first max: ties go to the lowest index
     _, out, y, cache = turns[int(np.argmax([t[0] for t in turns]))]
@@ -566,25 +558,23 @@ def build_ensemble(envs, config: TrainConfig, mode: str, rng: Rng) -> EnsembleMo
         representation = nn.make_mlp(
             (in_dim, *config.phi_hidden_dims, config.repr_dim),
             rng.child("phi"),
-            hidden_activation=config.activation,
             l2_coeff=config.l2_coeff,
             dropout_rate=config.dropout_rate,
         )
         # the representation's output layer is ELU-regularized too
-        representation.layers[-1].activation = config.activation
+        representation.layers[-1].activation = "elu"
         representation.layers[-1].l2_coeff = config.l2_coeff
         clf_in = config.repr_dim
     classifiers = [
         nn.make_mlp(
             (clf_in, *config.hidden_dims, out_dim),
             rng.child(f"clf{e}"),
-            hidden_activation=config.activation,
             l2_coeff=config.l2_coeff,
             dropout_rate=config.dropout_rate,
         )
         for e in range(len(envs))
     ]
-    return EnsembleModel(classifiers, representation, mode)
+    return EnsembleModel(classifiers, representation)
 
 
 def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
@@ -598,7 +588,8 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     robust_turn over a batch of every environment. The trace records one row
     after every player's turn. The returned model is the state at
     termination, which is the low-correlation state the monitor is designed
-    to catch. A model passed in must be of this mode and size.
+    to catch. A model passed in must have this many classifiers, and a
+    representation network if the mode is VARIABLE_PHI.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -609,10 +600,10 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     n_classifiers = 1 if mode == ROBUST else len(envs)
     if model is None:
         model = build_ensemble(envs[:n_classifiers], config, mode, rng.child("init"))
-    elif model.mode != mode:
-        raise ValueError(f"model is a {model.mode} model, the game is {mode}")
     elif model.n_envs != n_classifiers:
         raise ValueError(f"model has {model.n_envs} classifiers, the game needs {n_classifiers}")
+    elif mode == VARIABLE_PHI and model.representation is None:
+        raise ValueError("variable-phi game needs a representation network")
     loss = config.loss
     recorder = TraceRecorder(envs, loss, test_env, config.test_every)
 

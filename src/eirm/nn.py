@@ -1,6 +1,6 @@
 """Small dense MLPs with hand-derived backpropagation and Adam.
 
-Layers are fully connected with ELU/ReLU/linear activations, analytic L2
+Layers are fully connected with ELU or linear activations, analytic L2
 regularization, and inverted dropout. Parameters are enumerated in a fixed
 order (layer 0 weights, layer 0 bias, layer 1 weights, ...) which the Adam
 state and the finite-difference checker both rely on.
@@ -18,7 +18,7 @@ from .core import Rng, ShapeError, cross_entropy, softmax_rows
 # for 0 <= ELU_ALPHA <= 1, the gradient for ELU_ALPHA == 1.
 ELU_ALPHA = 1.0
 
-ACTIVATIONS = ("elu", "relu", "linear")
+ACTIVATIONS = ("elu", "linear")
 
 
 @dataclass
@@ -123,8 +123,6 @@ def make_mlp(
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return pre
-    if kind == "relu":
-        return np.maximum(pre, 0.0)
     # elu as max(alpha * expm1(min(pre, 0)), pre), no boolean mask: for x < 0,
     # alpha * expm1(x) >= expm1(x) >= x as alpha <= 1; for x >= 0 the first term
     # is 0 <= x; maximum propagates NaN. min(pre, 0) keeps expm1 from overflowing.
@@ -137,8 +135,6 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
 def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return np.ones_like(pre)
-    if kind == "relu":
-        return (pre > 0).astype(np.float64)
     # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x.
     # fmin(post, 0) + alpha, no boolean mask: where pre < 0, post <= 0 (alpha >= 0), so it
     # is post + alpha; elsewhere post >= 0 or NaN (fmin drops NaN), so it is alpha, i.e. 1.
@@ -290,39 +286,17 @@ def net_loss(net: Mlp, batch: np.ndarray, labels: np.ndarray) -> float:
     return cross_entropy(softmax_rows(predict(net, batch)), labels) + regularization_loss(net)
 
 
-def finite_diff_check(
-    net: Mlp,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    h: float = 1e-5,
-    kink_tol: float = 1e-6,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    For ReLU layers, parameters feeding a unit whose pre-activation sits
-    within kink_tol of zero are excluded (nondifferentiable point).
-    """
+def finite_diff_check(net: Mlp, batch: np.ndarray, labels: np.ndarray, h: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients."""
     logits, cache = forward(net, batch, train_mode=False)
     dlogits = loss_grad_logits(softmax_rows(logits), labels)
     analytic, _ = backward(net, cache, dlogits)
 
-    excluded = []
-    for i, layer in enumerate(net.layers):
-        cols = np.zeros(layer.out_dim, dtype=bool)
-        if layer.activation == "relu":
-            cols = np.abs(cache[i]["pre"]).min(axis=0) < kink_tol
-        excluded.append(cols)
-
     worst = 0.0
-    params = net.parameters()
-    for idx, (param, grad) in enumerate(zip(params, analytic)):
-        layer_cols = excluded[idx // 2]
+    for param, grad in zip(net.parameters(), analytic):
         flat = param.reshape(-1)
         gflat = grad.reshape(-1)
         for j in range(flat.size):
-            out_unit = j % param.shape[-1] if param.ndim == 2 else j
-            if layer_cols[out_unit]:
-                continue
             orig = flat[j]
             flat[j] = orig + h
             up = net_loss(net, batch, labels)

@@ -74,7 +74,7 @@ def train_sem_game(spec: SemSpec = None, config: TrainConfig = None, seed: int =
         nn.make_mlp((spec.n_causal, 1), rng.child(f"clf{e}"))
         for e in range(len(envs))
     ]
-    model = EnsembleModel(classifiers, causal_projection(n_total, spec.n_causal), FIXED_PHI)
+    model = EnsembleModel(classifiers, causal_projection(n_total, spec.n_causal))
     model, _ = best_response_train(envs, config, FIXED_PHI, model=model)
     return model, envs, gamma
 

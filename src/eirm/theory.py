@@ -137,7 +137,10 @@ def scalar_game_grid(spec: QuadGameSpec) -> GridResult:
     )
 
 
-def bounded_linear_ne(spec: QuadGameSpec, max_sweeps: int = 10_000):
+MAX_SWEEPS = 10_000  # clamped best-response sweeps before the algebraic fallback
+
+
+def bounded_linear_ne(spec: QuadGameSpec):
     """Iterate exact clamped best responses to a fixed point.
 
     Returns ((w1, w2), interior_flag). A strictly interior fixed point of
@@ -150,7 +153,7 @@ def bounded_linear_ne(spec: QuadGameSpec, max_sweeps: int = 10_000):
     clamp = lambda v: min(max(v, lo), hi)
     w1, w2 = 0.0, 0.0
     seen = set()
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         nxt = (clamp(2.0 * c1 - w2), 0.0)
         nxt = (nxt[0], clamp(2.0 * c2 - nxt[0]))
         if nxt == (w1, w2):
@@ -208,14 +211,14 @@ class DeviationReport:
 
 MIN_BUDGET = 100  # fewest retraining steps verify_nash takes
 MIN_SAMPLES = 100  # fewest perturbation samples verify_invariance takes
+BATCH_SIZE = 256  # rows per retraining step of verify_nash and verify_invariance
 
 
 def _full_risk(model: EnsembleModel, env, loss: Loss) -> float:
     return loss.risk(ensemble_logits(model, env.features), loss.targets(env))
 
 
-def _retrain(trial: EnsembleModel, e: int, env, loss: Loss, steps: int, lr: float,
-             rng: Rng, batch_size: int = 256):
+def _retrain(trial: EnsembleModel, e: int, env, loss: Loss, steps: int, lr: float, rng: Rng):
     """Trains classifier e of trial alone on env by env_turn; yields after each step.
 
     Step k draws its batch with replacement from rng and its dropout stream
@@ -223,7 +226,7 @@ def _retrain(trial: EnsembleModel, e: int, env, loss: Loss, steps: int, lr: floa
     """
     x, y = env.features, loss.targets(env)
     opt = nn.AdamState.for_params(trial.classifiers[e].parameters(), lr=lr)
-    bs = min(batch_size, x.shape[0])
+    bs = min(BATCH_SIZE, x.shape[0])
     for step in range(1, steps + 1):
         idx = rng.integers(0, x.shape[0], size=bs)
         env_turn(trial, e, x[idx], y[idx], opt, rng=rng.child(f"drop{step}"), loss=loss)
@@ -237,7 +240,6 @@ def verify_nash(
     eps: float = 1e-3,
     loss: str = CROSS_ENTROPY,
     lr: float = 2.5e-4,
-    batch_size: int = 256,
     seed: int = 0,
 ) -> DeviationReport:
     """Epsilon-NE certificate by bounded unilateral retraining.
@@ -256,8 +258,8 @@ def verify_nash(
     for e, env in enumerate(envs):
         before = best = _full_risk(model, env, loss)
         clfs = [c.copy() if q == e else c for q, c in enumerate(model.classifiers)]
-        trial = EnsembleModel(clfs, model.representation, model.mode)
-        steps = _retrain(trial, e, env, loss, deviation_budget, lr, rng.child(f"dev{e}"), batch_size)
+        trial = EnsembleModel(clfs, model.representation)
+        steps = _retrain(trial, e, env, loss, deviation_budget, lr, rng.child(f"dev{e}"))
         for step in steps:
             if step % eval_every == 0 or step == deviation_budget:
                 best = min(best, _full_risk(trial, env, loss))
@@ -338,7 +340,7 @@ def verify_invariance(
     loss = Loss(loss)
     rng = rng or Rng(0)
     avg = average_classifier(model)
-    avg_model = EnsembleModel([avg], model.representation, "fixed_phi")
+    avg_model = EnsembleModel([avg], model.representation)
     baselines = [_full_risk(avg_model, env, loss) for env in envs]
 
     candidates = []
@@ -354,14 +356,14 @@ def verify_invariance(
             candidates.append(cand)
     for e, env in enumerate(envs):
         cand = avg.copy()
-        retrain = EnsembleModel([cand], model.representation, "fixed_phi")
+        retrain = EnsembleModel([cand], model.representation)
         for _ in _retrain(retrain, 0, env, loss, retrain_steps, lr, rng.child(f"retrain{e}")):
             pass
         candidates.append(cand)
 
     bests = list(baselines)
     for cand in candidates:
-        cand_model = EnsembleModel([cand], model.representation, "fixed_phi")
+        cand_model = EnsembleModel([cand], model.representation)
         for e, env in enumerate(envs):
             bests[e] = min(bests[e], _full_risk(cand_model, env, loss))
     entries = [

@@ -178,6 +178,7 @@ BAD_CONFIGS = [
     ({"train": {"phi_hidden_dims": [8, 0]}}, "train.phi_hidden_dims"),
     ({"train": {"repr_dim": 0}}, "train.repr_dim"),
     ({"seed": -1}, "seed"),
+    ({"train": {"seed": 7}}, "train.seed"),
 ]
 
 
@@ -268,6 +269,9 @@ def test_theory_grid_report_file(tmp_path):
     (["run", "CONFIG", "--seed-offset", "-1"], "--seed-offset"),
     (["theory", "grid", "--lo=-inf", "--hi", "inf"], "lo"),
     (["theory", "bounded", "--c1", "nan"], "minimizers"),
+    (["theory", "nash", "--eps", "inf"], "--eps"),
+    (["theory", "invariance", "--eps", "nan"], "--eps"),
+    (["theory", "nash", "--eps", "-1"], "--eps"),
 ])
 def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
     # the certificates' minimums are checked before the SEM game is trained
@@ -278,3 +282,15 @@ def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "invariance", "--budget", "5"],
+    ["theory", "nash", "--samples", "1"],
+])
+def test_each_certificate_takes_only_its_own_size_option(argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "train_sem_game", None)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {argv[2]}" in capsys.readouterr().err

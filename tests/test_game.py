@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from eirm import baselines, game, nn
-from eirm.core import Rng, softmax_rows
+from eirm.core import Rng, ShapeError, softmax_rows
 from eirm.datasets import make_benchmark, make_linear_sem, make_spurious_env, synth_shapes
 from eirm.game import (
     CROSS_ENTROPY,
@@ -26,6 +26,7 @@ from eirm.game import (
     env_turn,
     evaluate,
     phi_turn,
+    robust_turn,
     spurious_correlation,
 )
 from eirm.sem_game import default_sem_spec, sem_train_config, train_sem_game
@@ -57,8 +58,8 @@ def test_ensemble_model_validates_dims():
     b = nn.make_mlp((5, 2), rng.child("b"))
     with pytest.raises(Exception):
         EnsembleModel([a, b])
-    with pytest.raises(ValueError):
-        EnsembleModel([a], None, VARIABLE_PHI)
+    with pytest.raises(ShapeError, match="representation output"):
+        EnsembleModel([a], nn.make_mlp((3, 5), rng.child("phi")))
 
 
 def test_env_turn_only_moves_owner():
@@ -111,7 +112,7 @@ def test_phi_turn_moves_only_representation():
     rng = Rng(6)
     phi = nn.make_mlp((4, 5, 3), rng.child("phi"))
     clfs = [nn.make_mlp((3, 2), rng.child(f"c{e}")) for e in range(2)]
-    model = EnsembleModel(clfs, phi, VARIABLE_PHI)
+    model = EnsembleModel(clfs, phi)
     clf_before = [_params_digest(c) for c in clfs]
     phi_before = _params_digest(phi)
     batches = [
@@ -126,8 +127,27 @@ def test_phi_turn_moves_only_representation():
 
 def test_phi_turn_rejected_in_fixed_mode():
     model = _tiny_model(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="representation network"):
         phi_turn(model, [], None)
+
+
+def test_robust_turn_rejects_more_than_one_classifier():
+    model = _tiny_model(2)
+    with pytest.raises(ValueError, match="one classifier, got 2"):
+        robust_turn(model, [], None, [])
+
+
+def test_robust_turn_runs_the_classifier_on_the_representation():
+    rng = Rng(7)
+    x, y = rng.normal(size=(16, 3)), rng.np.integers(0, 2, size=16)
+    flip = nn.Mlp([nn.DenseLayer(-np.eye(3), np.zeros(3))])
+    flipped = nn.make_mlp((3, 4, 2), rng.child("clf"), dropout_rate=0.5)
+    plain = flipped.copy()
+    for model, batch in ((EnsembleModel([flipped], flip), x), (EnsembleModel([plain]), -x)):
+        opt = nn.AdamState.for_params(model.classifiers[0].parameters(), lr=1e-2)
+        robust_turn(model, [(batch[:8], y[:8]), (batch[8:], y[8:])], opt, [Rng(1), Rng(2)])
+    assert all(map(np.array_equal, flipped.parameters(), plain.parameters()))
+    assert not np.array_equal(flipped.layers[0].bias, np.zeros(4))
 
 
 def test_evaluate_ties_break_to_class_zero():
@@ -173,16 +193,15 @@ def test_termination_monitor_manual_threshold():
 
 def test_trace_steps_strictly_increase():
     trace = TrainTrace()
-    trace.append(TraceRecord(1, "env0", 0.5, [0.1], [0.5], 0.0, [0.0]))
+    trace.append(TraceRecord(1, "env0", 0.5, [0.1], 0.0, [0.0]))
     with pytest.raises(ValueError):
-        trace.append(TraceRecord(1, "env1", 0.5, [0.1], [0.5], 0.0, [0.0]))
+        trace.append(TraceRecord(1, "env1", 0.5, [0.1], 0.0, [0.0]))
 
 
 def test_trace_csv_schema(tmp_path):
     trace = TrainTrace()
-    trace.append(TraceRecord(1, "env0", 0.5, [0.1, 0.2], [0.5, 0.6], 0.25, [0.1, 0.2]))
-    trace.append(TraceRecord(2, "env1", 0.625, [0.1, 0.2], [0.5, 0.6], float("nan"),
-                             [0.1, 0.2], 0.75))
+    trace.append(TraceRecord(1, "env0", 0.5, [0.1, 0.2], 0.25, [0.1, 0.2]))
+    trace.append(TraceRecord(2, "env1", 0.625, [0.1, 0.2], float("nan"), [0.1, 0.2], 0.75))
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     lines = path.read_text().splitlines()
@@ -353,7 +372,7 @@ def test_prebuilt_model_must_fit_the_game(monkeypatch):
     bench = make_benchmark("COLORED_SHAPES", (60, 60, 60), 0)
     envs, cfg = bench.train_envs, _small_cfg()
     fixed = build_ensemble(envs, cfg, FIXED_PHI, Rng(0))
-    with pytest.raises(ValueError, match="fixed_phi model, the game is variable_phi"):
+    with pytest.raises(ValueError, match="variable-phi game needs a representation network"):
         best_response_train(envs, cfg, VARIABLE_PHI, model=fixed)
     with pytest.raises(ValueError, match="model has 2 classifiers"):
         best_response_train(envs + envs[:1], cfg, FIXED_PHI, model=fixed)
@@ -466,10 +485,8 @@ def _assert_rows_match(rec, ref, model, envs, label):
     assert rec.w_spur_corrs == ref.w_spur_corrs, label
     assert rec.test_acc == ref.test_acc, label
     # per environment, against a full-width pass over its own rows
-    for env, risk, acc in zip(envs, rec.env_risks, rec.env_accs):
-        by_env = evaluate(model, env)
-        assert acc == by_env["accuracy"], label
-        npt.assert_allclose(risk, by_env["risk"], rtol=1e-12, atol=0, err_msg=label)
+    for env, risk in zip(envs, rec.env_risks):
+        npt.assert_allclose(risk, evaluate(model, env)["risk"], rtol=1e-12, atol=0, err_msg=label)
 
 
 def test_recorder_keeps_each_distinct_row_once():

@@ -199,13 +199,6 @@ def test_finite_diff_small_elu_net():
     assert nn.finite_diff_check(net, x, y) < 1e-5
 
 
-def test_finite_diff_relu_net_excludes_kinks():
-    rng = Rng(3)
-    x, y = _toy_batch(rng)
-    net = nn.make_mlp((5, 8, 3), rng.child("net"), hidden_activation="relu")
-    assert nn.finite_diff_check(net, x, y) < 1e-5
-
-
 def test_finite_diff_deep_net_with_l2():
     rng = Rng(4)
     x, y = _toy_batch(rng, n=8)
