@@ -23,7 +23,12 @@ def as_ensemble(model: nn.Mlp) -> EnsembleModel:
 
 
 def pool_environments(datasets) -> EnvironmentDataset:
-    """The datasets' rows in order as one dataset; a lone dataset is returned as it is."""
+    """The datasets' rows in order as one dataset; a lone dataset is returned as it is.
+
+    For evaluation on the pooled rows. No trainer calls it: train_erm passes
+    its datasets to the game loop as one pooled player, which never stacks
+    their features into one array.
+    """
     if not datasets:
         raise ValueError("need at least one dataset")
     if len(datasets) == 1:
@@ -42,14 +47,16 @@ def train_erm(datasets, config: TrainConfig, test_env=None):
     """Single classifier minimizing mean loss on the pooled rows via Adam.
 
     Runs the fixed step budget from config (no termination rule); an
-    ensemble of one played for max_iters turns is exactly that.
+    ensemble of one played for max_iters turns is exactly that. The datasets
+    are its one player, so their rows are pooled in order without a copy.
     """
-    pooled = pool_environments(datasets)
+    if not datasets:
+        raise ValueError("need at least one dataset")
     cfg = dataclasses.replace(
         config, termination=TerminationRule(enabled=False)
     )
     model, trace = best_response_train(
-        [pooled], cfg, test_env=test_env, trace_owner="erm"
+        [list(datasets)], cfg, test_env=test_env, trace_owner="erm"
     )
     return model.classifiers[0], trace
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -132,6 +133,7 @@ def _from_json(cls, raw, prefix: str):
     """Build the config dataclass cls from a JSON object, naming any bad field.
 
     JSON types follow the annotations; list items follow the default's items.
+    Every number must be finite.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a JSON object")
@@ -141,6 +143,10 @@ def _from_json(cls, raw, prefix: str):
         name, f = prefix + key, fields.get(key)
         if f is None:
             raise ConfigError(f"{name}: unknown field")
+        # json reads NaN and Infinity as floats
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{name}: must be finite, got {value!r}")
         if dataclasses.is_dataclass(f.default_factory):
             value = _from_json(f.default_factory, value, name + ".")
         elif f.type == "tuple":

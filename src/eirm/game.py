@@ -132,6 +132,8 @@ class TerminationRule:
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        if self.min_steps is not None and self.min_steps < 0:
+            raise ValueError("min_steps must be >= 0")
         if not 0.0 <= self.quantile <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
 
@@ -187,6 +189,8 @@ class TrainConfig:
                 raise ValueError(f"{name}: every width must be >= 1, got {list(getattr(self, name))}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.l2_coeff < 0:
+            raise ValueError("l2_coeff must be >= 0")
         self.loss = Loss(self.loss)
 
 
@@ -287,7 +291,7 @@ def _gather(features, columns, keep) -> np.ndarray:
 
 
 def _distinct_pool(features):
-    """Two or more feature arrays end to end, each distinct row once, without never-lit columns.
+    """Feature arrays end to end, each distinct row once, without never-lit columns.
 
     Returns (pool, columns, rows): pool[rows] is the pooled rows cut to the kept
     column indices, bit for bit. columns is None when every column is kept and
@@ -330,17 +334,21 @@ def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
     return nn.Mlp([replace(first, weights=first.weights[columns]), *net.layers[1:]])
 
 
+def _parts(player) -> list:
+    """The datasets of one player: a list of datasets pooled in order, or one dataset."""
+    return player if isinstance(player, list) else [player]
+
+
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
-    Built once per call: it pools the environments' features, targets and
-    spurious bits and keeps each environment's row slice of the pool.
-    A lone environment's arrays are used as they are, not copied, and so are
-    the test split's features (`tail`). Two or more environments are copied
-    into the pool anyway, with the test split after them, so it keeps only
-    the feature columns nonzero in some row (`columns`), and the network fed
-    the pool runs with the matching rows of its first layer's weights. That
-    pool also holds each distinct row once: first the training rows
+    Built once per call: it pools the players' features, targets and spurious
+    bits and keeps each player's row slice of the pool. A player is one
+    dataset or a list of datasets whose rows are pooled in order (ERM's).
+    Every player's features go into one pool with the test split after them,
+    which keeps only the feature columns nonzero in some row (`columns`), so
+    the network fed the pool runs with the matching rows of its first layer's
+    weights. The pool holds each distinct row once: first the training rows
     (`features`), then the test rows that equal no training row (`tail`).
     `rows` gives the pool row of each pooled training row and `test_rows`
     that of each test row; every network's output is gathered back through
@@ -352,30 +360,33 @@ class TraceRecorder:
     representation output. A test step runs every network on `tail` alone.
     The `nn.predict` passes run from these methods, not from a public game
     function, so profilers see them as direct children of the training call.
+    `data` holds each player's (features, targets), its features an array or,
+    for a pooled player, the list of its datasets' arrays.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
-        self.data = [(env.features, self.loss.targets(env)) for env in envs]
+        players = [_parts(p) for p in envs]
+        self.data = [
+            ([d.features for d in parts] if len(parts) > 1 else parts[0].features,
+             _joined([self.loss.targets(d) for d in parts]))
+            for parts in players
+        ]
         self.targets = _joined([y for _, y in self.data])
-        bits = [getattr(env, "spurious_bits", None) for env in envs]
+        bits = [getattr(d, "spurious_bits", None) for parts in players for d in parts]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
-        bounds = np.cumsum([0] + [x.shape[0] for x, _ in self.data])
+        bounds = np.cumsum([0] + [y.shape[0] for _, y in self.data])
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        features = [x for x, _ in self.data]
+        features = [d.features for parts in players for d in parts]
         tests = [] if test_env is None else [test_env.features]
         self.rows = self.test_rows = None
-        if len(features) == 1:
-            self.features, self.columns = features[0], None
-            self.tail = tests[0] if tests else None
-        else:
-            pool, self.columns, rows = _distinct_pool(features + tests)
-            n = bounds[-1]
-            if rows is not None:
-                self.rows, self.test_rows = rows[:n], rows[n:]
-                n = int(self.rows.max()) + 1  # the training rows come first
-            self.features = pool[:n]
-            self.tail = pool[n:] if tests else None
+        pool, self.columns, rows = _distinct_pool(features + tests)
+        n = bounds[-1]
+        if rows is not None:
+            self.rows, self.test_rows = rows[:n], rows[n:]
+            n = int(self.rows.max()) + 1  # the training rows come first
+        self.features = pool[:n]
+        self.tail = pool[n:] if tests else None
         self.test_targets = None if test_env is None else self.loss.targets(test_env)
         self.test_every = test_every
         # id(net) -> (net, parameter copies, input, output); holding net keeps its id unique
@@ -434,14 +445,30 @@ class TraceRecorder:
 
 
 class _Batcher:
-    """Batches of one environment's rows in a shuffled order, reshuffled per epoch."""
+    """Batches of one player's rows in a shuffled order, reshuffled per epoch.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, batch_size: int, rng: Rng):
-        self.x, self.y, self.n = x, y, x.shape[0]
+    x is one array, or a pooled player's list of arrays: its batches are
+    drawn from the arrays directly, bit for bit the rows of their vstack.
+    """
+
+    def __init__(self, x, y: np.ndarray, batch_size: int, rng: Rng):
+        self.parts = x if isinstance(x, list) else [x]
+        self.bounds = np.cumsum([0] + [p.shape[0] for p in self.parts])
+        self.y, self.n = y, int(self.bounds[-1])
         self.batch_size = min(batch_size, self.n)
         self.rng = rng
         self.order = rng.permutation(self.n)
         self.pos = 0
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        if len(self.parts) == 1:
+            return self.parts[0][idx]
+        part = np.searchsorted(self.bounds, idx, side="right") - 1
+        batch = np.empty((idx.size, self.parts[0].shape[1]), np.result_type(*self.parts))
+        for k, x in enumerate(self.parts):
+            at = np.flatnonzero(part == k)
+            batch[at] = x[idx[at] - self.bounds[k]]
+        return batch
 
     def next(self) -> tuple:
         """The next batch's (features, targets)."""
@@ -450,7 +477,7 @@ class _Batcher:
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.batch_size]
         self.pos += self.batch_size
-        return self.x[idx], self.y[idx]
+        return self._rows(idx), self.y[idx]
 
 
 def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
@@ -589,17 +616,20 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     after every player's turn. The returned model is the state at
     termination, which is the low-correlation state the monitor is designed
     to catch. A model passed in must have this many classifiers, and a
-    representation network if the mode is VARIABLE_PHI.
+    representation network if the mode is VARIABLE_PHI. Each entry of envs
+    is one player: a dataset, or a list of datasets whose rows are pooled in
+    order without being copied into one array.
     """
     if not envs:
         raise ValueError("need at least one environment")
-    for env in envs:
-        if env.features.shape[0] == 0:
-            raise ValueError("empty environment")
+    players = [_parts(p) for p in envs]
+    if any(sum(d.features.shape[0] for d in parts) == 0 for parts in players):
+        raise ValueError("empty environment")
     rng = Rng(config.seed)
     n_classifiers = 1 if mode == ROBUST else len(envs)
     if model is None:
-        model = build_ensemble(envs[:n_classifiers], config, mode, rng.child("init"))
+        model = build_ensemble([parts[0] for parts in players[:n_classifiers]], config, mode,
+                               rng.child("init"))
     elif model.n_envs != n_classifiers:
         raise ValueError(f"model has {model.n_envs} classifiers, the game needs {n_classifiers}")
     elif mode == VARIABLE_PHI and model.representation is None:

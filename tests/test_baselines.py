@@ -39,32 +39,53 @@ def test_pool_environments_concatenates_in_order():
     npt.assert_array_equal(pooled.features[3:], b.features)
     npt.assert_array_equal(pooled.labels, [0, 0, 0, 1, 1])
     npt.assert_array_equal(pooled.spurious_bits, [0, 0, 0, 1, 1])
+    assert pool_environments([a]) is a
     with pytest.raises(ValueError):
         pool_environments([])
 
 
-def test_recorder_shares_the_pool_it_is_given():
-    # ERM's pool and a lone environment are held once, not copied again
+def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns():
+    # ERM's datasets are one player: its rows are pooled without a vstack, and
+    # its diagnostics pool holds each distinct row once on the lit columns
     bench = make_benchmark("COLORED_SHAPES", (100, 100, 100), 0)
-    env = bench.train_envs[0]
-    assert pool_environments([env]) is env
-    for data in (pool_environments(bench.train_envs), env):
-        recorder = TraceRecorder([data], CROSS_ENTROPY, None, 10)
-        assert np.shares_memory(recorder.features, data.features)
-        assert np.shares_memory(recorder.targets, data.labels)
-        assert np.shares_memory(recorder.bits, data.spurious_bits)
+    envs = bench.train_envs
+    recorder = TraceRecorder([envs], CROSS_ENTROPY, bench.test_env, 10)
+    parts, targets = recorder.data[0]
+    assert [x is env.features for x, env in zip(parts, envs, strict=True)] == [True, True]
+    full = np.vstack([env.features for env in envs])
+    assert recorder.features.shape == (len(np.unique(full, axis=0)), recorder.columns.size)
+    assert recorder.features.shape[0] < full.shape[0] and recorder.columns.size < full.shape[1]
+    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
+    assert not np.any(np.delete(full, recorder.columns, axis=1))
+    pool = np.vstack([recorder.features, recorder.tail])
+    npt.assert_array_equal(pool[recorder.test_rows], bench.test_env.features[:, recorder.columns])
+    npt.assert_array_equal(targets, pool_environments(envs).labels)
+    npt.assert_array_equal(recorder.bits, pool_environments(envs).spurious_bits)
+    assert recorder.slices == [slice(0, full.shape[0])]
 
 
-def test_erm_on_pooled_equals_erm_on_parts():
-    # pooling two environments by hand or letting train_erm do it must give
-    # identical parameters (same seed drives the same batch stream)
+def test_erm_on_pooled_equals_erm_on_parts(monkeypatch):
+    # pooling two environments by hand or letting train_erm pool them must give
+    # identical parameters (same seed drives the same batch stream) and trace rows;
+    # train_erm itself never stacks the datasets' features
     bench = make_benchmark("COLORED_SHAPES", (150, 150, 150), 0)
-    cfg = _cfg()
-    direct, _ = train_erm(bench.train_envs, cfg)
+    cfg = _cfg(dropout_rate=0.5, test_every=3)
     pooled = pool_environments(bench.train_envs)
-    via_pool, _ = train_erm([pooled], cfg)
-    for pa, pb in zip(direct.parameters(), via_pool.parameters()):
+    via_pool, pool_trace = train_erm([pooled], cfg, test_env=bench.test_env)
+
+    def no_stacking(*args, **kwargs):
+        raise AssertionError("train_erm stacked its datasets")
+
+    monkeypatch.setattr("eirm.baselines.pool_environments", no_stacking)
+    monkeypatch.setattr(np, "vstack", no_stacking)
+    direct, trace = train_erm(bench.train_envs, cfg, test_env=bench.test_env)
+    monkeypatch.undo()
+    for pa, pb in zip(direct.parameters(), via_pool.parameters(), strict=True):
         npt.assert_array_equal(pa, pb)
+    assert len(trace.records) == cfg.max_iters
+    assert [dataclasses.asdict(r) for r in trace.records] == [
+        dataclasses.asdict(r) for r in pool_trace.records
+    ]
 
 
 def test_erm_trace_owner_and_length():

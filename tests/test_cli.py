@@ -179,6 +179,14 @@ BAD_CONFIGS = [
     ({"train": {"repr_dim": 0}}, "train.repr_dim"),
     ({"seed": -1}, "seed"),
     ({"train": {"seed": 7}}, "train.seed"),
+    ({"train": {"lr": float("nan")}}, "train.lr"),
+    ({"train": {"lr": float("inf")}}, "train.lr"),
+    ({"baseline_lr": float("inf")}, "baseline_lr"),
+    ({"flip_probs": [0.2, float("-inf"), 0.9]}, "flip_probs"),
+    ({"train": {"l2_coeff": -1.0}}, "train.l2_coeff"),
+    ({"train": {"l2_coeff": float("nan")}}, "train.l2_coeff"),
+    ({"train": {"termination": {"min_steps": -5}}}, "train.termination.min_steps"),
+    ({"train": {"termination": {"threshold": float("nan")}}}, "train.termination.threshold"),
 ]
 
 

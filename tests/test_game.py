@@ -502,41 +502,65 @@ def test_recorder_keeps_each_distinct_row_once():
     npt.assert_array_equal(recorder.targets, np.concatenate([env.labels for env in envs]))
 
 
+def _full_width_row(model, envs, test_env):
+    """A trace row's figures from full-width passes over the vstacked training rows."""
+    pool = baselines.pool_environments(envs)
+    z = model.represent(pool.features)
+    return TraceRecord(
+        1,
+        "check",
+        evaluate(model, pool)["accuracy"],
+        [evaluate(model, env)["risk"] for env in envs],
+        spurious_correlation(model, pool),
+        [CROSS_ENTROPY.spurious_correlation(nn.predict(clf, z), pool.spurious_bits)
+         for clf in model.classifiers],
+        evaluate(model, test_env)["accuracy"],
+    )
+
+
 def test_colliding_row_keys_keep_every_row(monkeypatch):
     bench = _small_bench(n=200)
     envs = bench.train_envs
     model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), FIXED_PHI)
-    full = TraceRecorder([baselines.pool_environments(envs)], CROSS_ENTROPY, bench.test_env, 1)
-    ref, _ = full.record(model, 1, "check")
+    ref = _full_width_row(model, envs, bench.test_env)
     monkeypatch.setattr(game, "_row_keys", lambda x: np.zeros(x.shape[0]))
     recorder = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
     assert recorder.rows is None and recorder.test_rows is None
-    npt.assert_array_equal(recorder.features, full.features[:, recorder.columns])
+    full = np.vstack([env.features for env in envs])
+    npt.assert_array_equal(recorder.features, full[:, recorder.columns])
     npt.assert_array_equal(recorder.tail, bench.test_env.features[:, recorder.columns])
     rec, _ = recorder.record(model, 1, "check")
     _assert_rows_match(rec, ref, model, envs, "colliding keys")
-    assert rec.test_acc == evaluate(model, bench.test_env)["accuracy"]
+    # so does a lone dataset whose keys all collide, still cut to the lit columns
+    lone = TraceRecorder([envs[0]], CROSS_ENTROPY, bench.test_env, 1)
+    assert lone.rows is None and lone.test_rows is None
+    assert lone.columns.size < envs[0].features.shape[1]
+    npt.assert_array_equal(lone.features, envs[0].features[:, lone.columns])
+    npt.assert_array_equal(lone.tail, bench.test_env.features[:, lone.columns])
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():
     bench = _small_bench(n=200)
     envs = bench.train_envs
-    pool = baselines.pool_environments(envs)
-    full = TraceRecorder([pool], CROSS_ENTROPY, bench.test_env, 1)
-    assert full.features.shape == pool.features.shape and full.rows is None
+    width = envs[0].features.shape[1]
     cfg = _small_cfg(max_iters=3, dropout_rate=0.5)
     models = {
         mode: best_response_train(envs, cfg, mode)[0] for mode in (FIXED_PHI, VARIABLE_PHI)
     }
     models["ROBUST"] = baselines.as_ensemble(baselines.train_robust_minmax(envs, cfg)[0])
+    models["ERM"] = baselines.as_ensemble(baselines.train_erm(envs, cfg)[0])
     for name, model in models.items():
-        narrowed = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
-        assert narrowed.features.shape[1] < pool.features.shape[1]
-        assert narrowed.features.shape[0] < pool.features.shape[0]
+        # ERM's two datasets are one player, its reference their vstack
+        players, ref_envs = envs, envs
+        if name == "ERM":
+            players, ref_envs = [envs], [baselines.pool_environments(envs)]
+        narrowed = TraceRecorder(players, CROSS_ENTROPY, bench.test_env, 1)
+        assert narrowed.features.shape[1] < width
+        assert narrowed.features.shape[0] < 2 * envs[0].features.shape[0]
         assert narrowed.tail.shape[0] < bench.test_env.features.shape[0]
         rec, _ = narrowed.record(model, 1, "check")
-        ref, _ = full.record(model, 1, "check")
-        _assert_rows_match(rec, ref, model, envs, name)
+        ref = _full_width_row(model, ref_envs, bench.test_env)
+        _assert_rows_match(rec, ref, model, ref_envs, name)
 
 
 class _EvaluatedRecorder(TraceRecorder):
@@ -574,13 +598,43 @@ def test_test_accuracy_equals_evaluate_for_every_method(monkeypatch):
         assert _EvaluatedRecorder.checked > before, name
 
 
-def test_lone_environment_runs_the_test_split_as_it_is():
+def test_lone_dataset_goes_through_the_pool():
+    # SEM rows are continuous and never repeat: the pool holds every row in order
+    sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
+    env, test = sem_envs
+    recorder = TraceRecorder([env], SQUARED, test, 1)
+    assert recorder.columns is None and recorder.rows is None and recorder.test_rows is None
+    assert recorder.features.tobytes() == env.features.tobytes()
+    assert recorder.tail.tobytes() == test.features.tobytes()
+    # the targets are not copied: a lone dataset's are used as they are
+    assert np.shares_memory(recorder.targets, env.targets)
+    assert np.shares_memory(recorder.data[0][1], env.targets)
+    assert TraceRecorder([env], SQUARED, None, 1).tail is None
+    # binary shapes repeat: ORACLE's rows go through the distinct, narrowed pool
     bench = _small_bench(n=120)
-    for env, test in ((bench.train_envs[0], bench.test_env), (bench.oracle_env, bench.oracle_test)):
-        recorder = TraceRecorder([env], CROSS_ENTROPY, test, 1)
-        assert recorder.features is env.features and recorder.tail is test.features
-        assert recorder.columns is None and recorder.rows is None and recorder.test_rows is None
-    assert TraceRecorder([env], CROSS_ENTROPY, None, 1).tail is None
+    env, test = bench.oracle_env, bench.oracle_test
+    recorder = TraceRecorder([env], CROSS_ENTROPY, test, 1)
+    assert recorder.features.shape[0] < env.features.shape[0]
+    assert recorder.features.shape[1] < env.features.shape[1]
+    npt.assert_array_equal(recorder.features[recorder.rows], env.features[:, recorder.columns])
+    pool = np.vstack([recorder.features, recorder.tail])
+    npt.assert_array_equal(pool[recorder.test_rows], test.features[:, recorder.columns])
+    assert np.shares_memory(recorder.targets, env.labels)
+    assert np.shares_memory(recorder.bits, env.spurious_bits)
+
+
+def test_pooled_player_batches_equal_the_stacked_rows():
+    rng = Rng(3)
+    parts = [rng.normal(size=(n, 5)) for n in (7, 0, 12, 4)]
+    stacked = np.vstack(parts)
+    y = np.arange(stacked.shape[0])
+    pooled = game._Batcher(parts, y, 6, Rng(9))
+    plain = game._Batcher(stacked, y, 6, Rng(9))
+    for _ in range(10):  # 23 rows in batches of 6: three batches an epoch, then a reshuffle
+        (x, idx), (ref, ref_idx) = pooled.next(), plain.next()
+        npt.assert_array_equal(idx, ref_idx)  # the targets are the stacked row indices
+        assert x.tobytes() == ref.tobytes() == stacked[idx].tobytes()
+    assert not any(np.shares_memory(x, p) for p in parts)
 
 
 def _row_bytes(x):
