@@ -120,6 +120,7 @@ def load_config(path, preset: str = None) -> ExperimentConfig:
 
 
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+_INT64 = np.iinfo(np.int64)
 
 
 def _fits(value, kind: str) -> bool:
@@ -133,7 +134,7 @@ def _from_json(cls, raw, prefix: str):
     """Build the config dataclass cls from a JSON object, naming any bad field.
 
     JSON types follow the annotations; list items follow the default's items.
-    Every number must be finite.
+    Every number must be finite, and every integer must fit in 64 bits.
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a JSON object")
@@ -143,10 +144,12 @@ def _from_json(cls, raw, prefix: str):
         name, f = prefix + key, fields.get(key)
         if f is None:
             raise ConfigError(f"{name}: unknown field")
-        # json reads NaN and Infinity as floats
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{name}: must be finite, got {value!r}")
+        # json reads NaN and Infinity as floats, and integers of any size
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{name}: must be finite, got {value!r}")
+            if isinstance(v, int) and not _INT64.min <= v <= _INT64.max:
+                raise ConfigError(f"{name}: {v} is outside the 64-bit integer range")
         if dataclasses.is_dataclass(f.default_factory):
             value = _from_json(f.default_factory, value, name + ".")
         elif f.type == "tuple":

@@ -6,6 +6,11 @@ bit z by flipping the final label with a per-environment probability p_e.
 The spurious bit drives either image color (red vs green channel) or the
 position of a constant patch. The test environment reverses the
 correlation (p_e = 0.9 by default).
+
+Pixels keep the dtype of their source: COLORED_SHAPES' binary pixels are
+uint8 from generation on (one byte where float64 takes eight), IDX corpora
+are float64 multiples of 1/255. The networks widen them to float64 a batch
+or a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ _FOOTWEAR = frozenset({5, 7, 9})
 
 @dataclass
 class LabeledImages:
-    images: np.ndarray  # (n, H*W), grayscale in [0, 1]
+    images: np.ndarray  # (n, H*W), grayscale in [0, 1]: uint8 0/1 (shapes) or float64 (IDX)
     prelim_labels: np.ndarray  # (n,), values in {0, 1}
     height: int
     width: int
@@ -53,7 +58,9 @@ class LabeledImages:
 
 @dataclass
 class EnvironmentDataset:
-    features: np.ndarray  # (n, d)
+    # (n, d), in the source images' dtype; uint8 wraps under arithmetic
+    # (1 - x is 0 or 255), so widen before computing with it
+    features: np.ndarray
     labels: np.ndarray  # (n,), int
     spurious_bits: np.ndarray  # (n,), values in {0, 1}
     env_id: str
@@ -102,7 +109,7 @@ def read_idx(path):
         )
     data = np.frombuffer(raw, np.uint8, count, header_len)
     if magic == IDX_MAGIC_IMAGES:
-        return dims, data.astype(np.float64).reshape(dims) / 255.0
+        return dims, np.divide(data, 255.0, dtype=np.float64).reshape(dims)
     return dims, data.astype(np.int64)
 
 
@@ -115,31 +122,37 @@ def load_idx_corpus(images_path, labels_path, binarize) -> LabeledImages:
     return LabeledImages(images.reshape(n, h * w), binarize(labels), h, w)
 
 
+_SHAPE_CHUNK = 2048  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
+
+
 def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
-    """Procedural circles (label 0) vs squares (label 1), binary pixels.
+    """Procedural circles (label 0) vs squares (label 1), binary uint8 pixels.
 
     Shapes have random center and scale but always fit inside the canvas
-    and cover at least 16 pixels.
+    and cover at least 16 pixels. Each shape's radius and center take the
+    next three doubles of the geometry stream, so the shapes are those of
+    drawing r, cy and cx shape by shape with `uniform`, bit for bit. The
+    masks are built by broadcasting, _SHAPE_CHUNK shapes at a time.
     """
     if height < 16 or width < 16:
         raise ValueError("canvas must be at least 16x16")
-    images = np.zeros((n, height, width))
+    images = np.zeros((n, height, width), dtype=np.uint8)
     labels = rng.child("class").integers(0, 2, size=n).astype(np.int64)
-    r_rng = rng.child("geometry")
-    ys, xs = np.mgrid[0:height, 0:width]
+    u = rng.child("geometry").random((n, 3))
     min_r = 2.5  # circle of this radius fills >= 16 pixels
-    for i in range(n):
-        max_r = (min(height, width) - 1) / 2.0 - 1.0
-        r = r_rng.uniform(min_r, max_r)
-        cy = r_rng.uniform(r, height - 1 - r)
-        cx = r_rng.uniform(r, width - 1 - r)
-        if labels[i] == 0:
-            images[i] = ((ys - cy) ** 2 + (xs - cx) ** 2 <= r * r).astype(np.float64)
-        else:
-            half = r
-            images[i] = (
-                (np.abs(ys - cy) <= half) & (np.abs(xs - cx) <= half)
-            ).astype(np.float64)
+    max_r = (min(height, width) - 1) / 2.0 - 1.0
+    # uniform(lo, hi) is lo + (hi - lo) * u, with hi - lo rounded first
+    r = min_r + (max_r - min_r) * u[:, 0]
+    cy = r + (height - 1 - r - r) * u[:, 1]
+    cx = r + (width - 1 - r - r) * u[:, 2]
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    for lo in range(0, n, _SHAPE_CHUNK):
+        at = slice(lo, lo + _SHAPE_CHUNK)
+        rr, dy, dx = r[at, None, None], ys - cy[at, None, None], xs - cx[at, None, None]
+        circles = dy**2 + dx**2 <= rr * rr
+        squares = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
+        images[at] = np.where(labels[at, None, None] == 0, circles, squares)
     return LabeledImages(images.reshape(n, height * width), labels, height, width)
 
 
@@ -152,7 +165,8 @@ def make_spurious_env(
 ) -> EnvironmentDataset:
     """Attach label noise and a spurious channel to a grayscale source.
 
-    Row order is preserved, so callers can align outputs with the source.
+    Row order is preserved, so callers can align outputs with the source,
+    and the features keep the source images' dtype.
     COLOR mode emits H*W*3 features with the grayscale in the red channel
     when z=1 and the green channel when z=0. PATCH mode keeps grayscale
     and stamps a 3x3 top-left patch (z=1) or 2x2 bottom-right patch (z=0).
@@ -167,7 +181,7 @@ def make_spurious_env(
     z = z.astype(np.int64)
 
     if mode == "COLOR":
-        rgb = np.zeros((n, h * w, 3))
+        rgb = np.zeros((n, h * w, 3), dtype=src.images.dtype)
         rgb[z == 1, :, 0] = src.images[z == 1]
         rgb[z == 0, :, 1] = src.images[z == 0]
         features = rgb.reshape(n, h * w * 3)

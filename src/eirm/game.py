@@ -106,14 +106,20 @@ class EnsembleModel:
         return len(self.classifiers)
 
     def represent(self, batch: np.ndarray) -> np.ndarray:
+        """The classifiers' float64 input for a training batch."""
         if self.representation is None:
             return np.asarray(batch, dtype=np.float64)
         return nn.predict(self.representation, batch)
 
 
 def ensemble_logits(model: EnsembleModel, batch: np.ndarray) -> np.ndarray:
-    """Mean of the per-environment classifier outputs, inference mode."""
-    z = model.represent(batch)
+    """Mean of the per-environment classifier outputs, inference mode.
+
+    Without a representation the classifiers run on batch as it is, so
+    nn.predict widens it block by block rather than as one float64 copy.
+    """
+    phi = model.representation
+    z = batch if phi is None else nn.predict(phi, batch)
     total = None
     for clf in model.classifiers:
         logits = nn.predict(clf, z)
@@ -260,31 +266,35 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
     The probe holds integers below 2**40, so on integer-valued features (the
     binary COLORED_SHAPES pixels) every sum is exact and equal rows get equal
     keys whatever order BLAS adds in. Distinct rows may share a key; the
-    caller checks the grouping exactly.
+    caller checks the grouping exactly. Rows are widened to float64
+    _BLOCK_ROWS at a time.
     """
-    probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1])
-    return x @ probe.astype(np.float64)
+    probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1]).astype(np.float64)
+    keys = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _BLOCK_ROWS):
+        block = x[lo : lo + _BLOCK_ROWS]
+        keys[lo : lo + block.shape[0]] = block.astype(np.float64, copy=False) @ probe
+    return keys
 
 
 def _blocks(features, columns, keep):
     """Rows keep (ascending indices into the arrays end to end) cut to columns.
 
-    Yields (position in keep, float64 block) for blocks of at most
-    _BLOCK_ROWS rows, so no larger copy is ever made.
+    Yields (position in keep, block in the arrays' dtype) for blocks of at
+    most _BLOCK_ROWS rows, so no larger copy is ever made.
     """
     bounds = np.cumsum([0] + [x.shape[0] for x in features])
     cuts = np.searchsorted(keep, bounds)
     for x, lo, start, stop in zip(features, bounds, cuts[:-1], cuts[1:]):
         for at in range(start, stop, _BLOCK_ROWS):
             block = np.take(x, keep[at : min(at + _BLOCK_ROWS, stop)] - lo, axis=0)
-            block = block if columns is None else np.take(block, columns, axis=1)
-            yield at, block.astype(np.float64, copy=False)
+            yield at, block if columns is None else np.take(block, columns, axis=1)
 
 
 def _gather(features, columns, keep) -> np.ndarray:
-    """Rows keep of the arrays end to end, cut to columns, as one float64 array."""
+    """Rows keep of the arrays end to end, cut to columns, as one array of their dtype."""
     width = features[0].shape[1] if columns is None else columns.size
-    pool = np.empty((keep.size, width))
+    pool = np.empty((keep.size, width), np.result_type(*features))
     for at, block in _blocks(features, columns, keep):
         pool[at : at + block.shape[0]] = block
     return pool
@@ -299,8 +309,9 @@ def _distinct_pool(features):
     _row_keys in first-occurrence order, so the distinct rows of a leading
     array come first, and every repeated row is checked against its pool row
     bit for bit; if two distinct rows share a key, every row is kept. The
-    pool is filled from the arrays block by block, so no full-width copy of
-    them is ever built.
+    pool is in the arrays' dtype (uint8 for COLORED_SHAPES) and is filled
+    from them block by block, so no full-width or widened copy of them is
+    ever built.
     """
     lit = np.logical_or.reduce([np.any(x, axis=0) for x in features])
     columns = None if lit.all() else np.flatnonzero(lit)
@@ -314,8 +325,8 @@ def _distinct_pool(features):
         rows = rank[inverse]
         pool = _gather(features, columns, keep)
         repeats = np.flatnonzero(keep[rows] != np.arange(keys.size))
-        if all(np.array_equal(pool[rows[repeats[at : at + block.shape[0]]]].view(np.int64),
-                              block.view(np.int64))
+        if all(np.array_equal(pool[rows[repeats[at : at + block.shape[0]]]].view(np.uint8),
+                              block.view(np.uint8))
                for at, block in _blocks(features, columns, repeats)):
             return pool, columns, rows
         del pool  # before the full pool is built
@@ -349,7 +360,9 @@ class TraceRecorder:
     which keeps only the feature columns nonzero in some row (`columns`), so
     the network fed the pool runs with the matching rows of its first layer's
     weights. The pool holds each distinct row once: first the training rows
-    (`features`), then the test rows that equal no training row (`tail`).
+    (`features`), then the test rows that equal no training row (`tail`),
+    in the features' own dtype: COLORED_SHAPES' pool stays uint8, and
+    nn.predict widens it to float64 one block of rows at a time.
     `rows` gives the pool row of each pooled training row and `test_rows`
     that of each test row; every network's output is gathered back through
     them before the row's figures are taken (None when the rows are in order).

@@ -144,7 +144,8 @@ def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _input(net: Mlp, batch: np.ndarray) -> np.ndarray:
-    x = np.asarray(batch, dtype=np.float64)
+    """batch as an array in its own dtype, checked against the net's input width."""
+    x = np.asarray(batch)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(
             f"batch shape {x.shape} does not match input dim {net.input_dim}"
@@ -156,6 +157,7 @@ _BLOCK_BYTES = 2 << 20  # one layer output of a predict block: about 2 MiB
 
 
 def _predict_block(net: Mlp, x: np.ndarray) -> np.ndarray:
+    x = x.astype(np.float64, copy=False)
     for layer in net.layers:
         x = x @ layer.weights
         x += layer.bias
@@ -166,14 +168,17 @@ def _predict_block(net: Mlp, x: np.ndarray) -> np.ndarray:
 def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     """The net's inference output, row blocks of forward(net, block)[0] stacked.
 
-    Rows run in blocks whose widest layer output takes about _BLOCK_BYTES, so
-    a block's layer outputs stay in cache: 4096 rows at width 64, 672 at width
-    390. Each block's result is written into one preallocated output, and no
-    per-layer array is kept for a backward pass, so at most two layer outputs
-    of one block are alive at once. A batch of one block is run as it is.
+    Rows run in blocks whose widest float64 layer output takes about
+    _BLOCK_BYTES, so a block's layer outputs stay in cache: 4096 rows at
+    width 64, 672 at width 390. A batch of another dtype (uint8 pixels) is
+    widened to float64 one block at a time, so no float64 copy of it is ever
+    made, and the blocks are the same as for its float64 copy. Each block's
+    result is written into one preallocated output, and no per-layer array is
+    kept for a backward pass, so at most two layer outputs of one block are
+    alive at once. A batch of one block is run as it is.
     """
     x = _input(net, batch)
-    rows = max(1, _BLOCK_BYTES // (x.itemsize * max(1, *(l.out_dim for l in net.layers))))
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
     if x.shape[0] <= rows:
         return _predict_block(net, x)
     out = np.empty((x.shape[0], net.output_dim))
@@ -189,7 +194,7 @@ def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = No
     Dropout uses inverted scaling so inference needs no rescale. Callers
     that do not backpropagate use predict().
     """
-    x = _input(net, batch)
+    x = _input(net, batch).astype(np.float64, copy=False)
     if train_mode and rng is None:
         rng = Rng(0)
     cache = []

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eirm import cli
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
@@ -187,6 +189,10 @@ BAD_CONFIGS = [
     ({"train": {"l2_coeff": float("nan")}}, "train.l2_coeff"),
     ({"train": {"termination": {"min_steps": -5}}}, "train.termination.min_steps"),
     ({"train": {"termination": {"threshold": float("nan")}}}, "train.termination.threshold"),
+    ({"train": {"termination": {"window": 10**23}}}, "train.termination.window"),
+    ({"train": {"hidden_dims": [10**20]}}, "train.hidden_dims"),
+    ({"height": 10**20}, "height"),
+    ({"sizes": [10**20, 20, 20]}, "sizes"),
 ]
 
 
@@ -218,6 +224,52 @@ def test_config_error_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2, field
         assert field in capsys.readouterr().err, field
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+    | st.floats() | st.text(max_size=6)
+    | st.sampled_from([*METHODS, "COLORED_SHAPES", "COLORED_DIGITS", "squared"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(cls, prefix=()):
+    for f in dataclasses.fields(cls):
+        yield (*prefix, f.name)
+        if dataclasses.is_dataclass(f.default_factory):
+            yield from _field_paths(f.default_factory, (*prefix, f.name))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(_field_paths(cli.ExperimentConfig))), _JSON_VALUES),
+                max_size=3))
+def test_any_json_field_values_build_a_config_or_raise_config_error(entries):
+    raw = {}
+    for path, value in entries:
+        at = raw
+        for key in path[:-1]:
+            if not isinstance(at.get(key), dict):
+                at[key] = {}
+            at = at[key]
+        at[path[-1]] = value
+    try:
+        cfg = cli._from_json(cli.ExperimentConfig, raw, "")
+        cfg.validate()
+    except ConfigError:
+        return
+    # a config that loads holds only numbers numpy and the training loop can take
+    numbers, todo = [], [dataclasses.asdict(cfg)]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, dict):
+            todo.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            todo.extend(v)
+        elif isinstance(v, (int, float)):
+            numbers.append(v)
+    assert all(math.isfinite(v) and -2**63 <= v < 2**63 for v in numbers), numbers
 
 
 def test_missing_idx_corpus_is_a_config_error(tmp_path, monkeypatch):

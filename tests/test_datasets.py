@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from eirm import datasets
 from eirm.core import FormatError, Rng
 from eirm.datasets import (
     DEFAULT_FLIP_PROBS,
@@ -46,6 +47,14 @@ def test_read_idx_roundtrip(tmp_path):
     assert got.dtype == np.int64
 
 
+def test_read_idx_images_equal_the_two_step_formula(tmp_path):
+    imgs = np.random.default_rng(1).integers(0, 256, size=(9, 5, 6)).astype(np.uint8)
+    _write_idx_images(tmp_path / "imgs", imgs)
+    _, data = read_idx(tmp_path / "imgs")
+    assert data.dtype == np.float64
+    assert data.tobytes() == (imgs.astype(np.float64).reshape(9, 5, 6) / 255.0).tobytes()
+
+
 def test_read_idx_bad_magic_and_truncation(tmp_path):
     p = tmp_path / "bad"
     p.write_bytes(struct.pack(">I", 0xDEADBEEF))
@@ -80,6 +89,35 @@ def test_synth_shapes_properties():
     for img in src.images:
         assert img.sum() >= 16
     assert set(np.unique(src.prelim_labels)) == {0, 1}
+
+
+def _shapes_one_by_one(n, height, width, rng):
+    """The per-shape loop synth_shapes replaced: three uniform draws, then one mask, per shape."""
+    images = np.zeros((n, height, width))
+    labels = rng.child("class").integers(0, 2, size=n).astype(np.int64)
+    r_rng = rng.child("geometry")
+    ys, xs = np.mgrid[0:height, 0:width]
+    max_r = (min(height, width) - 1) / 2.0 - 1.0
+    for i in range(n):
+        r = r_rng.uniform(2.5, max_r)
+        cy = r_rng.uniform(r, height - 1 - r)
+        cx = r_rng.uniform(r, width - 1 - r)
+        if labels[i] == 0:
+            images[i] = (ys - cy) ** 2 + (xs - cx) ** 2 <= r * r
+        else:
+            images[i] = (np.abs(ys - cy) <= r) & (np.abs(xs - cx) <= r)
+    return images.reshape(n, height * width), labels
+
+
+@pytest.mark.parametrize("height,width", [(16, 16), (20, 17), (28, 28)])
+def test_synth_shapes_equal_the_per_shape_loop(height, width):
+    n = datasets._SHAPE_CHUNK + 37  # a full chunk and a ragged one
+    for seed in (0, 3, 11):
+        src = synth_shapes(n, height, width, Rng(seed))
+        images, labels = _shapes_one_by_one(n, height, width, Rng(seed))
+        assert src.images.dtype == np.uint8
+        assert np.array_equal(src.images, images)
+        assert src.prelim_labels.tobytes() == labels.tobytes()
 
 
 def test_synth_shapes_deterministic():
@@ -145,6 +183,9 @@ def test_make_benchmark_shapes_and_disjointness():
     assert test.features.shape == (100, 16 * 16 * 3)
     assert oracle.features.shape == (500, 16 * 16)
     assert bench.oracle_test.features.shape == (100, 16 * 16)
+    # binary pixels stay one byte, oracle splits too
+    for env in (*train, test, oracle, bench.oracle_test):
+        assert env.features.dtype == np.uint8, env.env_id
     npt.assert_array_equal(
         [e.flip_prob for e in train] + [test.flip_prob], DEFAULT_FLIP_PROBS
     )
@@ -152,6 +193,15 @@ def test_make_benchmark_shapes_and_disjointness():
     npt.assert_array_equal(
         oracle.labels, np.concatenate([train[0].labels, train[1].labels])
     )
+
+
+def test_make_benchmark_builds_no_float64_copy(peak_bytes):
+    benches = []
+    peak = peak_bytes(lambda: benches.append(make_benchmark("COLORED_SHAPES", (2000, 2000, 2000), 0)))
+    b = benches[0]
+    envs = (*b.train_envs, b.test_env, b.oracle_env, b.oracle_test)
+    as_float64 = sum(env.features.size * 8 for env in envs)  # 46.9 MiB
+    assert peak < as_float64 / 2
 
 
 def test_make_benchmark_deterministic():
@@ -173,6 +223,11 @@ def test_make_benchmark_idx_backed(tmp_path, monkeypatch):
     monkeypatch.setenv("EIRM_DATA_DIR", str(tmp_path))
     bench = make_benchmark("COLORED_DIGITS", (150, 150, 100), 0)
     assert bench.train_envs[0].features.shape == (150, 16 * 16 * 3)
+    for env in (*bench.train_envs, bench.test_env, bench.oracle_env, bench.oracle_test):
+        assert env.features.dtype == np.float64, env.env_id
+    patch = make_benchmark("PATCH_FASHION", (150, 150, 100), 0)
+    assert patch.train_envs[0].features.shape == (150, 16 * 16)
+    assert patch.train_envs[0].features.dtype == np.float64
     # too many requested rows is a hard error naming the capacity
     with pytest.raises(ValueError, match="400"):
         make_benchmark("COLORED_DIGITS", (300, 300, 300), 0)

@@ -655,3 +655,22 @@ def test_tail_holds_the_distinct_test_rows_no_training_row_equals():
     pool = np.vstack([recorder.features, recorder.tail])
     assert pool[recorder.test_rows].tobytes() == test.tobytes()
     assert pool[recorder.rows].tobytes() == train.tobytes()
+
+
+def test_byte_features_are_widened_a_block_at_a_time(peak_bytes):
+    bench = make_benchmark("COLORED_SHAPES", (2000, 2000, 2000), 0)
+    envs, test = bench.train_envs, bench.test_env
+    built = []
+    peak = peak_bytes(lambda: built.append(TraceRecorder(envs, CROSS_ENTROPY, test, 1)))
+    recorder = built[0]
+    assert recorder.features.dtype == recorder.tail.dtype == np.uint8
+    pool_rows = recorder.features.shape[0] + recorder.tail.shape[0]
+    assert peak < pool_rows * recorder.features.shape[1] * 8  # the pool in float64: 12.5 MiB
+    # evaluation at the paper width: the rows are widened one predict block at a time
+    pooled = baselines.pool_environments([*envs, test])
+    wide = dataclasses.replace(pooled, features=pooled.features.astype(np.float64))
+    clf = nn.make_mlp((pooled.features.shape[1], 390, 2), Rng(1))
+    model = EnsembleModel([clf, clf.copy()])
+    for fn in (evaluate, spurious_correlation):
+        assert fn(model, pooled) == fn(model, wide), fn.__name__
+        assert peak_bytes(lambda: fn(model, pooled)) < wide.features.nbytes / 2, fn.__name__

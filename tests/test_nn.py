@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -73,21 +71,12 @@ def test_predict_rejects_the_batches_forward_rejects():
         assert str(by_predict.value) == str(by_forward.value)
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_predict_keeps_no_layer_outputs():
+def test_predict_keeps_no_layer_outputs(peak_bytes):
     net = nn.make_mlp((768, 64, 64, 2), Rng(5))
     x = Rng(6).normal(size=(4000, 768))
     layer_output = x.shape[0] * 64 * x.itemsize
-    by_forward = _peak_bytes(lambda: nn.forward(net, x))
-    by_predict = _peak_bytes(lambda: nn.predict(net, x))
+    by_forward = peak_bytes(lambda: nn.forward(net, x))
+    by_predict = peak_bytes(lambda: nn.predict(net, x))
     assert by_predict <= by_forward - layer_output
 
 
@@ -108,14 +97,24 @@ def test_predict_stacks_forward_over_row_blocks_bit_for_bit():
         assert nn.predict(net, x).tobytes() == stacked.tobytes(), kind
 
 
-def test_predict_peak_memory_is_a_few_blocks_whatever_the_rows():
+def test_predict_peak_memory_is_a_few_blocks_whatever_the_rows(peak_bytes):
     net = nn.make_mlp((16, 390, 390, 2), Rng(7))
     beyond_output = []
     for n in (10000, 20000):
         x = Rng(8).normal(size=(n, 16))
-        beyond_output.append(_peak_bytes(lambda: nn.predict(net, x)) - n * 2 * x.itemsize)
+        beyond_output.append(peak_bytes(lambda: nn.predict(net, x)) - n * 2 * x.itemsize)
     assert beyond_output[1] <= 3 * nn._BLOCK_BYTES  # one unblocked layer output is 62 MB
     assert abs(beyond_output[1] - beyond_output[0]) <= 4096
+
+
+def test_predict_widens_a_byte_batch_block_by_block(peak_bytes):
+    net = nn.make_mlp((768, 390, 2), Rng(11))
+    n = 6 * _block_rows(390) + 57  # six blocks and a ragged one
+    pixels = (Rng(12).random((n, 768)) < 0.1).astype(np.uint8)
+    wide = pixels.astype(np.float64)
+    assert nn.predict(net, pixels).tobytes() == nn.predict(net, wide).tobytes()
+    # the blocks are those of the float64 copy, which is never built
+    assert peak_bytes(lambda: nn.predict(net, pixels)) < wide.nbytes / 2
 
 
 def test_desk_widths_run_as_one_block(monkeypatch):
