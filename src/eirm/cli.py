@@ -120,7 +120,7 @@ def load_config(path, preset: str = None) -> ExperimentConfig:
 
 
 _JSON_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
-_INT64 = np.iinfo(np.int64)
+_INT64_RANGE = (-2**63, 2**63)  # [lo, hi) of every number a config may hold
 
 
 def _fits(value, kind: str) -> bool:
@@ -134,7 +134,8 @@ def _from_json(cls, raw, prefix: str):
     """Build the config dataclass cls from a JSON object, naming any bad field.
 
     JSON types follow the annotations; list items follow the default's items.
-    Every number must be finite, and every integer must fit in 64 bits.
+    Every number, integer or float, must be finite and in the 64-bit integer
+    range [-2**63, 2**63).
     """
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'}: expected a JSON object")
@@ -148,8 +149,8 @@ def _from_json(cls, raw, prefix: str):
         for v in value if isinstance(value, list) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name}: must be finite, got {value!r}")
-            if isinstance(v, int) and not _INT64.min <= v <= _INT64.max:
-                raise ConfigError(f"{name}: {v} is outside the 64-bit integer range")
+            if isinstance(v, (int, float)) and not _INT64_RANGE[0] <= v < _INT64_RANGE[1]:
+                raise ConfigError(f"{name}: {v!r} is outside the config number range [-2**63, 2**63)")
         if dataclasses.is_dataclass(f.default_factory):
             value = _from_json(f.default_factory, value, name + ".")
         elif f.type == "tuple":
@@ -261,10 +262,16 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
     results = {}  # row label -> list of (train_acc, test_acc)
     seeds = [cfg.seed + seed_offset + i for i in range(cfg.n_seeds)]
     for seed in seeds:
-        bench = make_benchmark(
-            cfg.benchmark, cfg.sizes, seed, data_dir=cfg.data_dir,
-            flip_probs=cfg.flip_probs, height=cfg.height, width=cfg.width,
-        )
+        try:
+            bench = make_benchmark(
+                cfg.benchmark, cfg.sizes, seed, data_dir=cfg.data_dir,
+                flip_probs=cfg.flip_probs, height=cfg.height, width=cfg.width,
+            )
+        except MemoryError as exc:
+            raise ConfigError(
+                f"sizes/height/width: the benchmark {cfg.benchmark} with sizes {list(cfg.sizes)} "
+                f"on a {cfg.height}x{cfg.width} canvas does not fit in memory ({exc})"
+            ) from exc
         for method in cfg.methods:
             for label, model, trace, test in _train_method(method, bench, cfg, seed):
                 trace.to_csv(os.path.join(out, f"trace_{label}_seed{seed}.csv"))

@@ -82,15 +82,24 @@ class Rng:
 
     A child stream is keyed by (seed, label path), so drawing from one
     child never perturbs another. The same seed reproduces identical
-    streams across runs and platforms (PCG64).
+    streams across runs and platforms (PCG64). The PCG64 generator is built
+    on the first draw (`np`), not with the stream: most streams only derive
+    children or are never drawn from (a dropout stream at rate 0), and
+    building one costs tens of microseconds.
     """
 
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed)
         self._path = _path
-        self.np = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, *(_path or (0,))]))
-        )
+        self._np = None
+
+    @property
+    def np(self) -> np.random.Generator:
+        if self._np is None:
+            self._np = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence([self.seed, *(self._path or (0,))]))
+            )
+        return self._np
 
     def child(self, label: str) -> "Rng":
         return Rng(self.seed, self._path + (_label_key(label),))

@@ -257,7 +257,26 @@ def _joined(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-_BLOCK_ROWS = 512  # rows per block when the distinct pool is filled and checked
+def _take(features, bounds, idx: np.ndarray) -> np.ndarray:
+    """Rows idx of the arrays end to end, in their dtype; bounds holds their row offsets."""
+    if len(features) == 1:
+        return features[0][idx]
+    part = np.searchsorted(bounds, idx, side="right") - 1
+    rows = np.empty((idx.size, features[0].shape[1]), np.result_type(*features))
+    for k, x in enumerate(features):
+        at = np.flatnonzero(part == k)
+        rows[at] = x[idx[at] - bounds[k]]
+    return rows
+
+
+_BLOCK_ROWS = 512  # rows per block when the distinct pool is checked, grouped and filled
+
+
+def _blocks(features, idx: np.ndarray):
+    """Yields (position in idx, rows of the arrays end to end) _BLOCK_ROWS of idx at a time."""
+    bounds = np.cumsum([0] + [x.shape[0] for x in features])
+    for at in range(0, idx.size, _BLOCK_ROWS):
+        yield at, _take(features, bounds, idx[at : at + _BLOCK_ROWS])
 
 
 def _row_keys(x: np.ndarray) -> np.ndarray:
@@ -277,67 +296,147 @@ def _row_keys(x: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _blocks(features, columns, keep):
-    """Rows keep (ascending indices into the arrays end to end) cut to columns.
+def _distinct_rows(features):
+    """(keep, rows): the first occurrence of each distinct row of the arrays end to end.
 
-    Yields (position in keep, block in the arrays' dtype) for blocks of at
-    most _BLOCK_ROWS rows, so no larger copy is ever made.
+    keep ascends, and keep[rows] holds each row's first occurrence. Rows are
+    grouped by _row_keys and every repeat is checked against its first
+    occurrence bit for bit; if two distinct rows share a key, every row is kept.
     """
-    bounds = np.cumsum([0] + [x.shape[0] for x in features])
-    cuts = np.searchsorted(keep, bounds)
-    for x, lo, start, stop in zip(features, bounds, cuts[:-1], cuts[1:]):
-        for at in range(start, stop, _BLOCK_ROWS):
-            block = np.take(x, keep[at : min(at + _BLOCK_ROWS, stop)] - lo, axis=0)
-            yield at, block if columns is None else np.take(block, columns, axis=1)
-
-
-def _gather(features, columns, keep) -> np.ndarray:
-    """Rows keep of the arrays end to end, cut to columns, as one array of their dtype."""
-    width = features[0].shape[1] if columns is None else columns.size
-    pool = np.empty((keep.size, width), np.result_type(*features))
-    for at, block in _blocks(features, columns, keep):
-        pool[at : at + block.shape[0]] = block
-    return pool
-
-
-def _distinct_pool(features):
-    """Feature arrays end to end, each distinct row once, without never-lit columns.
-
-    Returns (pool, columns, rows): pool[rows] is the pooled rows cut to the kept
-    column indices, bit for bit. columns is None when every column is kept and
-    rows is None when the pool holds every row in order. Rows are grouped by
-    _row_keys in first-occurrence order, so the distinct rows of a leading
-    array come first, and every repeated row is checked against its pool row
-    bit for bit; if two distinct rows share a key, every row is kept. The
-    pool is in the arrays' dtype (uint8 for COLORED_SHAPES) and is filled
-    from them block by block, so no full-width or widened copy of them is
-    ever built.
-    """
-    lit = np.logical_or.reduce([np.any(x, axis=0) for x in features])
-    columns = None if lit.all() else np.flatnonzero(lit)
     keys = np.concatenate([_row_keys(x) for x in features])
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if first.size < keys.size:
-        order = np.argsort(first)
-        keep = first[order]  # the pool's rows, ascending
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        rows = rank[inverse]
-        pool = _gather(features, columns, keep)
-        repeats = np.flatnonzero(keep[rows] != np.arange(keys.size))
-        if all(np.array_equal(pool[rows[repeats[at : at + block.shape[0]]]].view(np.uint8),
-                              block.view(np.uint8))
-               for at, block in _blocks(features, columns, repeats)):
-            return pool, columns, rows
-        del pool  # before the full pool is built
-    return _gather(features, columns, np.arange(keys.size)), columns, None
+    every = np.arange(keys.size)
+    if first.size == keys.size:
+        return every, every
+    order = np.argsort(first)
+    keep = first[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    rows = rank[inverse]
+    repeats = np.flatnonzero(keep[rows] != every)
+    pairs = zip(_blocks(features, keep[rows[repeats]]), _blocks(features, repeats))
+    if all(np.array_equal(original.view(np.uint8), repeat.view(np.uint8))
+           for (_, original), (_, repeat) in pairs):
+        return keep, rows
+    return every, every
+
+
+def _column_groups(features):
+    """(group of each row, columns of each group): the lit columns split where no row links them.
+
+    Two columns are linked when some row lights both; a group is a connected
+    component of that graph, with its columns ascending, and the groups are
+    ordered by their first column. A row belongs to the group of its lit
+    columns, a row with none to group 0. Each row links its lit columns to its
+    first lit column (its lead), so the graph is read from one bit mask per
+    lead, the OR of that lead's rows, built _BLOCK_ROWS rows at a time. The
+    masks take width**2 / 8 bytes; the label propagation runs on their set bits.
+    """
+    width = features[0].shape[1]
+    links = np.zeros((width + 1, (width + 7) // 8), np.uint8)  # last row: no lit column
+    lead = np.empty(sum(x.shape[0] for x in features), np.int64)
+    for x, offset in zip(features, np.cumsum([0] + [x.shape[0] for x in features])):
+        for lo in range(0, x.shape[0], _BLOCK_ROWS):
+            lit = x[lo : lo + _BLOCK_ROWS] != 0
+            first = np.where(lit.any(axis=1), lit.argmax(axis=1), width)
+            lead[offset + lo : offset + lo + first.size] = first
+            order = np.argsort(first, kind="stable")
+            starts = np.flatnonzero(np.diff(first[order], prepend=-1))
+            packed = np.packbits(lit, axis=1)[order]
+            links[first[order][starts]] |= np.bitwise_or.reduceat(packed, starts, axis=0)
+    # the set bits as (mask, column) pairs, mask by mask
+    masks, columns = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    leads = np.flatnonzero(links[:width].any(axis=1))
+    for lo in range(0, leads.size, _BLOCK_ROWS):
+        mask, column = np.nonzero(np.unpackbits(links[leads[lo : lo + _BLOCK_ROWS]], axis=1, count=width))
+        masks.append(mask + lo)
+        columns.append(column)
+    mask, column = np.concatenate(masks), np.concatenate(columns)
+    by_mask = np.flatnonzero(np.diff(mask, prepend=-1))
+    column_order = np.argsort(column, kind="stable")
+    by_column = np.flatnonzero(np.diff(column[column_order], prepend=-1))
+    used = column[column_order][by_column]  # the lit columns, ascending
+    # minimum-label propagation: each mask takes the least label of its
+    # columns, each column the least of its masks', then every label points to
+    # its own label, until none moves
+    label = np.arange(width)
+    while True:
+        least = np.minimum.reduceat(label[column], by_mask)
+        moved = label.copy()
+        moved[used] = np.minimum.reduceat(least[mask][column_order], by_column)
+        moved = moved[moved]
+        if np.array_equal(moved, label):
+            break
+        label = moved
+    roots, group = np.unique(label[used], return_inverse=True)
+    lookup = np.zeros(width + 1, np.int64)  # a lead's group; width, no lit column, is group 0
+    lookup[used] = group
+    return lookup[lead], [used[group == g] for g in range(max(1, roots.size))]
+
+
+@dataclass
+class Slabs:
+    """Pooled rows group by group: blocks[g] holds group g's rows cut to columns[g].
+
+    The blocks are the diagonal of a block-diagonal matrix of `shape`; every
+    entry off the diagonal is zero. A column entry of None keeps every column.
+    """
+
+    blocks: list
+    columns: list
+
+    @property
+    def shape(self) -> tuple:
+        return (sum(b.shape[0] for b in self.blocks), sum(b.shape[1] for b in self.blocks))
+
+
+def _slab(features, idx: np.ndarray, columns) -> np.ndarray:
+    """Rows idx (ascending) of the arrays end to end, cut to columns, in their dtype."""
+    width = features[0].shape[1] if columns is None else columns.size
+    slab = np.empty((idx.size, width), np.result_type(*features))
+    for at, rows in _blocks(features, idx):
+        slab[at : at + rows.shape[0]] = rows if columns is None else rows[:, columns]
+    return slab
+
+
+def _distinct_pool(features, n: int):
+    """Feature arrays end to end, each distinct row once, as per-group slabs.
+
+    Returns (train, tail, rows). train holds the distinct rows of the first n
+    rows, tail (None when there are no more rows) the distinct later rows that
+    equal no earlier one; each is ordered group by group (_column_groups) and,
+    within a group, by first occurrence. rows gives the position of each row
+    in train's rows followed by tail's, or is None when that is every row in
+    order. Each slab keeps only the columns its group lights, so a row equals
+    its slab row on those columns and is zero on every other. The slabs are in
+    the arrays' dtype (uint8 for COLORED_SHAPES) and are filled from them block
+    by block, so no full-width or widened copy of them is ever built.
+    """
+    keep, rows = _distinct_rows(features)
+    group, columns = _column_groups(features)
+    if len(columns) == 1 and columns[0].size == features[0].shape[1]:
+        columns = [None]
+    # one segment per (part, group), training part first; keep ascends, so a
+    # stable sort leaves first occurrences in order within each segment
+    segment = group[keep] + len(columns) * (keep >= n)
+    order = np.argsort(segment, kind="stable")
+    bounds = np.cumsum([0, *np.bincount(segment, minlength=2 * len(columns))])
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    keep = keep[order]
+    slabs = [_slab(features, keep[lo:hi], columns[k % len(columns)])
+             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    train = Slabs(slabs[: len(columns)], columns)
+    tail = Slabs(slabs[len(columns) :], columns) if n < rows.size else None
+    in_order = keep.size == rows.size and np.all(order[1:] > order[:-1])
+    return train, tail, None if in_order else at[rows]
 
 
 def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
     """net with its first layer cut to the weight rows of the given input columns.
 
     The later layers are shared, not copied. Dropping an input column that is
-    zero in every row changes each output by rounding only.
+    zero in every row the cut net is fed changes each output by rounding only.
     """
     if columns is None:
         return net
@@ -357,17 +456,21 @@ class TraceRecorder:
     bits and keeps each player's row slice of the pool. A player is one
     dataset or a list of datasets whose rows are pooled in order (ERM's).
     Every player's features go into one pool with the test split after them,
-    which keeps only the feature columns nonzero in some row (`columns`), so
-    the network fed the pool runs with the matching rows of its first layer's
-    weights. The pool holds each distinct row once: first the training rows
-    (`features`), then the test rows that equal no training row (`tail`),
-    in the features' own dtype: COLORED_SHAPES' pool stays uint8, and
-    nn.predict widens it to float64 one block of rows at a time.
-    `rows` gives the pool row of each pooled training row and `test_rows`
-    that of each test row; every network's output is gathered back through
-    them before the row's figures are taken (None when the rows are in order).
+    and the pool holds each distinct row once: first the training rows
+    (`features`), then the test rows that equal no training row (`tail`).
+    Both are Slabs: the feature columns are split into groups that no row
+    links (red and green for COLORED_SHAPES, whose every row lights one
+    colour; one group for SEM and ORACLE), and each group's rows are kept cut
+    to the columns that group lights, so the network fed a slab runs with the
+    matching rows of its first layer's weights and no product with a column
+    known to be zero is taken. The slabs stay in the features' own dtype:
+    COLORED_SHAPES' stay uint8, and nn.predict widens them to float64 one
+    block of rows at a time. `rows` gives the pool row of each pooled
+    training row and `test_rows` that of each test row; every network's
+    output is gathered back through them before the row's figures are taken
+    (None when the rows are in order).
     Each network's output on `features` is kept with a copy of its parameters
-    and the input array it ran on, and a row reruns only the networks whose
+    and the input it ran on, and a row reruns only the networks whose
     parameters or input changed since the previous row: after one player's
     turn, that player's network and the classifiers fed by a new
     representation output. A test step runs every network on `tail` alone.
@@ -392,23 +495,26 @@ class TraceRecorder:
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         features = [d.features for parts in players for d in parts]
         tests = [] if test_env is None else [test_env.features]
-        self.rows = self.test_rows = None
-        pool, self.columns, rows = _distinct_pool(features + tests)
         n = bounds[-1]
+        self.features, self.tail, rows = _distinct_pool(features + tests, n)
+        self.rows = self.test_rows = None
         if rows is not None:
             self.rows, self.test_rows = rows[:n], rows[n:]
-            n = int(self.rows.max()) + 1  # the training rows come first
-        self.features = pool[:n]
-        self.tail = pool[n:] if tests else None
         self.test_targets = None if test_env is None else self.loss.targets(test_env)
         self.test_every = test_every
         # id(net) -> (net, parameter copies, input, output); holding net keeps its id unique
         self._runs = {}
 
-    def _predict(self, net: nn.Mlp, x: np.ndarray) -> np.ndarray:
-        """net's inference output on x, run with the pool's columns if x is pooled."""
-        pooled = x is self.features or x is self.tail
-        return nn.predict(_first_rows(net, self.columns) if pooled else net, x)
+    def _predict(self, net: nn.Mlp, x) -> np.ndarray:
+        """net's inference output on x; each block of Slabs runs with its columns' weight rows."""
+        if not isinstance(x, Slabs):
+            return nn.predict(net, x)
+        out = np.empty((x.shape[0], net.output_dim))
+        lo = 0
+        for columns, block in zip(x.columns, x.blocks):
+            out[lo : lo + block.shape[0]] = nn.predict(_first_rows(net, columns), block)
+            lo += block.shape[0]
+        return out
 
     def _output(self, net: nn.Mlp, x: np.ndarray, runs: dict) -> np.ndarray:
         """net's inference output on x, reused from the previous row if neither changed."""
@@ -473,16 +579,6 @@ class _Batcher:
         self.order = rng.permutation(self.n)
         self.pos = 0
 
-    def _rows(self, idx: np.ndarray) -> np.ndarray:
-        if len(self.parts) == 1:
-            return self.parts[0][idx]
-        part = np.searchsorted(self.bounds, idx, side="right") - 1
-        batch = np.empty((idx.size, self.parts[0].shape[1]), np.result_type(*self.parts))
-        for k, x in enumerate(self.parts):
-            at = np.flatnonzero(part == k)
-            batch[at] = x[idx[at] - self.bounds[k]]
-        return batch
-
     def next(self) -> tuple:
         """The next batch's (features, targets)."""
         if self.pos + self.batch_size > self.n:
@@ -490,7 +586,7 @@ class _Batcher:
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.batch_size]
         self.pos += self.batch_size
-        return self._rows(idx), self.y[idx]
+        return _take(self.parts, self.bounds, idx), self.y[idx]
 
 
 def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
@@ -543,7 +639,7 @@ def phi_turn(model: EnsembleModel, env_batches, opt: nn.AdamState,
         dlogits = Loss(loss).grad(ens, y) / model.n_envs
         dz = np.zeros_like(z)
         for clf, cache in zip(model.classifiers, caches):
-            _, dinput = nn.backward(clf, cache, dlogits)
+            _, dinput = nn.backward(clf, cache, dlogits, input_grad=True)
             dz += dinput
         grads, _ = nn.backward(phi, phi_cache, dz)
         for t, g in zip(total, grads):

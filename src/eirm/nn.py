@@ -222,12 +222,16 @@ def loss_grad_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad / probs.shape[0]
 
 
-def backward(net: Mlp, cache: list, dlogits: np.ndarray):
+def backward(net: Mlp, cache: list, dlogits: np.ndarray, input_grad: bool = False):
     """Backpropagate dlogits; returns (grads, dinput).
 
     grads aligns with net.parameters() and includes the analytic L2 term
     2 * l2_coeff * W per layer. Dropout masks are reused from the cached
-    forward pass.
+    forward pass. dinput, the gradient with respect to the net's input, is
+    computed only with input_grad set, for a caller that backpropagates into
+    the network feeding this one; otherwise it is None, and the product with
+    the first layer's weights that no one reads is skipped. grads are the
+    same either way.
     """
     if len(cache) != len(net.layers):
         raise ValueError("cache does not match network")
@@ -242,7 +246,7 @@ def backward(net: Mlp, cache: list, dlogits: np.ndarray):
         d = d * _activate_grad(c["pre"], c["post"], layer.activation)
         grads[2 * i] = c["x"].T @ d + 2.0 * layer.l2_coeff * layer.weights
         grads[2 * i + 1] = d.sum(axis=0)
-        d = d @ layer.weights.T
+        d = d @ layer.weights.T if i > 0 or input_grad else None
     return grads, d
 
 

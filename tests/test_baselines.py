@@ -44,21 +44,24 @@ def test_pool_environments_concatenates_in_order():
         pool_environments([])
 
 
-def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns():
+def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns(unslabbed):
     # ERM's datasets are one player: its rows are pooled without a vstack, and
     # its diagnostics pool holds each distinct row once on the lit columns
     bench = make_benchmark("COLORED_SHAPES", (100, 100, 100), 0)
-    envs = bench.train_envs
+    envs, test = bench.train_envs, bench.test_env.features
     recorder = TraceRecorder([envs], CROSS_ENTROPY, bench.test_env, 10)
     parts, targets = recorder.data[0]
     assert [x is env.features for x, env in zip(parts, envs, strict=True)] == [True, True]
     full = np.vstack([env.features for env in envs])
-    assert recorder.features.shape == (len(np.unique(full, axis=0)), recorder.columns.size)
-    assert recorder.features.shape[0] < full.shape[0] and recorder.columns.size < full.shape[1]
-    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
-    assert not np.any(np.delete(full, recorder.columns, axis=1))
-    pool = np.vstack([recorder.features, recorder.tail])
-    npt.assert_array_equal(pool[recorder.test_rows], bench.test_env.features[:, recorder.columns])
+    width = full.shape[1]
+    assert recorder.features.shape[0] == len(np.unique(full, axis=0)) < full.shape[0]
+    # every lit column is kept in exactly one slab, and no other column is
+    kept = np.concatenate(recorder.features.columns)
+    npt.assert_array_equal(np.sort(kept), np.flatnonzero(np.any(np.vstack([full, test]), axis=0)))
+    assert kept.size == recorder.features.shape[1] < width
+    pool = np.vstack([unslabbed(recorder.features, width), unslabbed(recorder.tail, width)])
+    npt.assert_array_equal(pool[recorder.rows], full)
+    npt.assert_array_equal(pool[recorder.test_rows], test)
     npt.assert_array_equal(targets, pool_environments(envs).labels)
     npt.assert_array_equal(recorder.bits, pool_environments(envs).spurious_bits)
     assert recorder.slices == [slice(0, full.shape[0])]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eirm import cli
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
@@ -218,9 +218,14 @@ def test_config_validation_names_the_field(tmp_path):
         TrainConfig(loss="mse")
 
 
+# loads and validates, but its canvas needs hundreds of GiB: numpy's MemoryError is reported
+TOO_BIG = {"height": 1000000000, "sizes": [10, 10, 10], "n_seeds": 1, "methods": ["ERM"]}
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    for raw, field in [({"benchmark": "NOPE"}, "benchmark"), *BAD_CONFIGS]:
+    too_big = dict(TOO_BIG, out_dir=str(tmp_path / "out"))
+    for raw, field in [({"benchmark": "NOPE"}, "benchmark"), *BAD_CONFIGS, (too_big, "height")]:
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2, field
         assert field in capsys.readouterr().err, field
@@ -243,6 +248,7 @@ def _field_paths(cls, prefix=()):
 
 
 @settings(max_examples=400, deadline=None)
+@example([(("baseline_lr",), 2.0**63)])
 @given(st.lists(st.tuples(st.sampled_from(list(_field_paths(cli.ExperimentConfig))), _JSON_VALUES),
                 max_size=3))
 def test_any_json_field_values_build_a_config_or_raise_config_error(entries):

@@ -4,6 +4,7 @@ import pytest
 
 from eirm.core import (
     Rng,
+    _label_key,
     ShapeError,
     cross_entropy,
     mean_squared_error,
@@ -114,3 +115,21 @@ def test_rng_nested_children_reproducible():
     x = Rng(11).child("outer").child("inner").uniform(0, 1, size=5)
     y = Rng(11).child("outer").child("inner").uniform(0, 1, size=5)
     npt.assert_array_equal(x, y)
+
+
+
+def test_rng_child_draws_equal_an_eagerly_built_generators():
+    # a stream's generator is built on its first draw, from the SeedSequence of
+    # (seed, label keys), so its draws are those of a generator built up front
+    def eager(seed, *labels):
+        path = [_label_key(label) for label in labels] or [0]
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *path])))
+
+    for parent_draws_first in (False, True):
+        parent, ref = Rng(5), eager(5)
+        if parent_draws_first:
+            npt.assert_array_equal(parent.normal(size=3), ref.normal(size=3))
+        child, ref_child = parent.child("a").child("b"), eager(5, "a", "b")
+        npt.assert_array_equal(child.random(7), ref_child.random(7))
+        npt.assert_array_equal(child.integers(0, 100, size=4), ref_child.integers(0, 100, size=4))
+        npt.assert_array_equal(parent.permutation(9), ref.permutation(9))

@@ -462,20 +462,22 @@ def test_recorder_reruns_only_the_network_that_moved(monkeypatch):
     assert edited.env_risks != unmoved.env_risks
 
 
-def test_recorder_pools_only_the_lit_columns():
+def test_recorder_pools_only_the_lit_columns(unslabbed):
     envs = _small_bench(n=200).train_envs
     recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
     full = np.vstack([env.features for env in envs])
     assert full.shape[1] == 768 and recorder.features.shape[1] < 768
-    assert np.any(recorder.features, axis=0).all()
-    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
-    dropped = np.setdiff1d(np.arange(full.shape[1]), recorder.columns)
+    # each slab keeps only the columns its own rows light
+    for block in recorder.features.blocks:
+        assert np.any(block, axis=0).all()
+    npt.assert_array_equal(unslabbed(recorder.features, 768)[recorder.rows], full)
+    dropped = np.setdiff1d(np.arange(full.shape[1]), np.concatenate(recorder.features.columns))
     assert not np.any(full[:, dropped])
-    # no SEM column is zero in every row: the pool keeps them all
+    # no SEM column is zero in every row: the pool keeps them all, in one slab
     sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
     sem = TraceRecorder(sem_envs, SQUARED, None, 10)
-    assert sem.columns is None and sem.rows is None
-    npt.assert_array_equal(sem.features, np.vstack([env.features for env in sem_envs]))
+    assert sem.features.columns == [None] and sem.rows is None
+    npt.assert_array_equal(sem.features.blocks[0], np.vstack([env.features for env in sem_envs]))
 
 
 def _assert_rows_match(rec, ref, model, envs, label):
@@ -489,16 +491,20 @@ def _assert_rows_match(rec, ref, model, envs, label):
         npt.assert_allclose(risk, evaluate(model, env)["risk"], rtol=1e-12, atol=0, err_msg=label)
 
 
-def test_recorder_keeps_each_distinct_row_once():
+def test_recorder_keeps_each_distinct_row_once(unslabbed):
     envs = _small_bench(n=200).train_envs
     recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
     full = np.vstack([env.features for env in envs])
     assert len(np.unique(full, axis=0)) < full.shape[0]  # binary shapes repeat
-    assert recorder.features.shape[0] == len(np.unique(full, axis=0))
+    pool = unslabbed(recorder.features, full.shape[1])
+    assert pool.shape[0] == len(np.unique(pool, axis=0)) == len(np.unique(full, axis=0))
     assert recorder.rows.shape == (full.shape[0],)
-    npt.assert_array_equal(recorder.features[recorder.rows], full[:, recorder.columns])
-    # first-occurrence order
-    assert np.all(np.diff(np.unique(recorder.rows, return_index=True)[1]) > 0)
+    npt.assert_array_equal(pool[recorder.rows], full)
+    # first-occurrence order within each slab
+    firsts = np.unique(recorder.rows, return_index=True)[1]  # each pool row's first pooled row
+    bounds = np.cumsum([0] + [block.shape[0] for block in recorder.features.blocks])
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert np.all(np.diff(firsts[lo:hi]) > 0)
     npt.assert_array_equal(recorder.targets, np.concatenate([env.labels for env in envs]))
 
 
@@ -518,25 +524,29 @@ def _full_width_row(model, envs, test_env):
     )
 
 
-def test_colliding_row_keys_keep_every_row(monkeypatch):
+def test_colliding_row_keys_keep_every_row(monkeypatch, unslabbed):
     bench = _small_bench(n=200)
-    envs = bench.train_envs
+    envs, test = bench.train_envs, bench.test_env.features
     model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), FIXED_PHI)
     ref = _full_width_row(model, envs, bench.test_env)
     monkeypatch.setattr(game, "_row_keys", lambda x: np.zeros(x.shape[0]))
     recorder = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
-    assert recorder.rows is None and recorder.test_rows is None
     full = np.vstack([env.features for env in envs])
-    npt.assert_array_equal(recorder.features, full[:, recorder.columns])
-    npt.assert_array_equal(recorder.tail, bench.test_env.features[:, recorder.columns])
+    assert recorder.features.shape[0] == full.shape[0] and recorder.tail.shape[0] == test.shape[0]
+    pool = np.vstack([unslabbed(recorder.features, 768), unslabbed(recorder.tail, 768)])
+    npt.assert_array_equal(np.sort(np.concatenate([recorder.rows, recorder.test_rows])),
+                           np.arange(pool.shape[0]))
+    npt.assert_array_equal(pool[recorder.rows], full)
+    npt.assert_array_equal(pool[recorder.test_rows], test)
     rec, _ = recorder.record(model, 1, "check")
     _assert_rows_match(rec, ref, model, envs, "colliding keys")
     # so does a lone dataset whose keys all collide, still cut to the lit columns
     lone = TraceRecorder([envs[0]], CROSS_ENTROPY, bench.test_env, 1)
-    assert lone.rows is None and lone.test_rows is None
-    assert lone.columns.size < envs[0].features.shape[1]
-    npt.assert_array_equal(lone.features, envs[0].features[:, lone.columns])
-    npt.assert_array_equal(lone.tail, bench.test_env.features[:, lone.columns])
+    rows = envs[0].features.shape[0]
+    assert lone.features.shape[0] == rows and lone.features.shape[1] < envs[0].features.shape[1]
+    pool = np.vstack([unslabbed(lone.features, 768), unslabbed(lone.tail, 768)])
+    npt.assert_array_equal(pool[lone.rows], envs[0].features)
+    npt.assert_array_equal(pool[lone.test_rows], test)
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():
@@ -598,14 +608,14 @@ def test_test_accuracy_equals_evaluate_for_every_method(monkeypatch):
         assert _EvaluatedRecorder.checked > before, name
 
 
-def test_lone_dataset_goes_through_the_pool():
+def test_lone_dataset_goes_through_the_pool(unslabbed):
     # SEM rows are continuous and never repeat: the pool holds every row in order
     sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
     env, test = sem_envs
     recorder = TraceRecorder([env], SQUARED, test, 1)
-    assert recorder.columns is None and recorder.rows is None and recorder.test_rows is None
-    assert recorder.features.tobytes() == env.features.tobytes()
-    assert recorder.tail.tobytes() == test.features.tobytes()
+    assert recorder.features.columns == [None] and recorder.rows is None and recorder.test_rows is None
+    assert recorder.features.blocks[0].tobytes() == env.features.tobytes()
+    assert recorder.tail.blocks[0].tobytes() == test.features.tobytes()
     # the targets are not copied: a lone dataset's are used as they are
     assert np.shares_memory(recorder.targets, env.targets)
     assert np.shares_memory(recorder.data[0][1], env.targets)
@@ -614,11 +624,12 @@ def test_lone_dataset_goes_through_the_pool():
     bench = _small_bench(n=120)
     env, test = bench.oracle_env, bench.oracle_test
     recorder = TraceRecorder([env], CROSS_ENTROPY, test, 1)
+    width = env.features.shape[1]
     assert recorder.features.shape[0] < env.features.shape[0]
-    assert recorder.features.shape[1] < env.features.shape[1]
-    npt.assert_array_equal(recorder.features[recorder.rows], env.features[:, recorder.columns])
-    pool = np.vstack([recorder.features, recorder.tail])
-    npt.assert_array_equal(pool[recorder.test_rows], test.features[:, recorder.columns])
+    assert recorder.features.shape[1] < width and len(recorder.features.blocks) == 1
+    pool = np.vstack([unslabbed(recorder.features, width), unslabbed(recorder.tail, width)])
+    npt.assert_array_equal(pool[recorder.rows], env.features)
+    npt.assert_array_equal(pool[recorder.test_rows], test.features)
     assert np.shares_memory(recorder.targets, env.labels)
     assert np.shares_memory(recorder.bits, env.spurious_bits)
 
@@ -641,18 +652,33 @@ def _row_bytes(x):
     return (row.tobytes() for row in x)
 
 
-def test_tail_holds_the_distinct_test_rows_no_training_row_equals():
+def _in_first_occurrence_order(slabs, rows, width, unslabbed):
+    """Whether each slab of rows holds distinct rows in the order they first occur in rows."""
+    first = {}
+    for k, row in enumerate(_row_bytes(rows)):
+        first.setdefault(row, k)
+    pool = list(_row_bytes(unslabbed(slabs, width)))
+    at = np.cumsum([0] + [block.shape[0] for block in slabs.blocks])
+    return all(np.all(np.diff([first[row] for row in pool[lo:hi]]) > 0)
+               for lo, hi in zip(at[:-1], at[1:]))
+
+
+def test_tail_holds_the_distinct_test_rows_no_training_row_equals(unslabbed):
     bench = _small_bench(n=200)
     recorder = TraceRecorder(bench.train_envs, CROSS_ENTROPY, bench.test_env, 1)
-    cols = recorder.columns
-    train = np.vstack([env.features for env in bench.train_envs])[:, cols]
-    test = bench.test_env.features[:, cols]
+    train = np.vstack([env.features for env in bench.train_envs])
+    test = bench.test_env.features
+    width = train.shape[1]
     seen = set(_row_bytes(train))
     new = [row for row in _row_bytes(test) if row not in seen]
     assert 0 < len(set(new)) < len(new) < test.shape[0]  # test rows repeat and meet training rows
-    assert list(_row_bytes(recorder.tail)) == list(dict.fromkeys(new))  # first-occurrence order
-    assert list(_row_bytes(recorder.features)) == list(dict.fromkeys(_row_bytes(train)))
-    pool = np.vstack([recorder.features, recorder.tail])
+    tail, features = unslabbed(recorder.tail, width), unslabbed(recorder.features, width)
+    assert sorted(_row_bytes(tail)) == sorted(set(new))
+    assert sorted(_row_bytes(features)) == sorted(set(_row_bytes(train)))
+    new_rows = np.frombuffer(b"".join(new), test.dtype).reshape(len(new), width)
+    assert _in_first_occurrence_order(recorder.tail, new_rows, width, unslabbed)
+    assert _in_first_occurrence_order(recorder.features, train, width, unslabbed)
+    pool = np.vstack([features, tail])
     assert pool[recorder.test_rows].tobytes() == test.tobytes()
     assert pool[recorder.rows].tobytes() == train.tobytes()
 
@@ -663,7 +689,7 @@ def test_byte_features_are_widened_a_block_at_a_time(peak_bytes):
     built = []
     peak = peak_bytes(lambda: built.append(TraceRecorder(envs, CROSS_ENTROPY, test, 1)))
     recorder = built[0]
-    assert recorder.features.dtype == recorder.tail.dtype == np.uint8
+    assert all(block.dtype == np.uint8 for block in recorder.features.blocks + recorder.tail.blocks)
     pool_rows = recorder.features.shape[0] + recorder.tail.shape[0]
     assert peak < pool_rows * recorder.features.shape[1] * 8  # the pool in float64: 12.5 MiB
     # evaluation at the paper width: the rows are widened one predict block at a time
@@ -674,3 +700,39 @@ def test_byte_features_are_widened_a_block_at_a_time(peak_bytes):
     for fn in (evaluate, spurious_correlation):
         assert fn(model, pooled) == fn(model, wide), fn.__name__
         assert peak_bytes(lambda: fn(model, pooled)) < wide.features.nbytes / 2, fn.__name__
+
+
+def test_column_groups_are_the_components_of_the_lit_columns():
+    # columns 1-5 are linked only through a chain of rows, each row leading with a
+    # column the next row links onward; column 6 is never lit, and a zero row joins group 0
+    x = np.zeros((8, 8), np.uint8)
+    for row, lit in enumerate(([4, 5], [3, 4], [0], [2, 3], [], [1, 2], [7], [0])):
+        x[row, lit] = 1
+    group, columns = game._column_groups([x[:3], x[3:]])
+    assert [c.tolist() for c in columns] == [[0], [1, 2, 3, 4, 5], [7]]
+    npt.assert_array_equal(group, [1, 1, 0, 1, 0, 1, 2, 0])
+    # nothing lit: one group with no columns
+    group, columns = game._column_groups([np.zeros((3, 4))])
+    assert [c.tolist() for c in columns] == [[]] and group.tolist() == [0, 0, 0]
+
+
+def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
+    bench = _small_bench(n=200)
+    envs, test = bench.train_envs, bench.test_env
+    width = test.features.shape[1]
+    for players in (envs, [envs]):  # the game's players, then ERM's pooled player
+        recorder = TraceRecorder(players, CROSS_ENTROPY, test, 1)
+        columns = recorder.features.columns
+        assert recorder.tail.columns is columns
+        # red is channel 0 and green channel 1 of each pixel; blue is never lit
+        assert [set(c % 3) for c in columns] == [{0}, {1}]
+        train = np.vstack([env.features for env in envs])
+        pool = np.vstack([unslabbed(recorder.features, width), unslabbed(recorder.tail, width)])
+        # every pooled row rebuilds from its slab, zero outside the slab's columns
+        npt.assert_array_equal(pool[recorder.rows], train)
+        npt.assert_array_equal(pool[recorder.test_rows], test.features)
+    # ORACLE's grayscale rows and SEM's continuous ones are one group each
+    oracle = TraceRecorder([bench.oracle_env], CROSS_ENTROPY, bench.oracle_test, 1)
+    assert len(oracle.features.blocks) == len(oracle.tail.blocks) == 1
+    sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
+    assert len(TraceRecorder(sem_envs, SQUARED, None, 1).features.blocks) == 1

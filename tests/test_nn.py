@@ -215,6 +215,23 @@ def test_backward_l2_term_is_analytic():
     npt.assert_allclose(grads[1], np.zeros(4))
 
 
+def test_backward_input_gradient_only_when_asked():
+    rng = Rng(8)
+    x, _ = _toy_batch(rng, n=16)
+    net = nn.make_mlp((5, 7, 6, 3), rng.child("net"), l2_coeff=1e-3, dropout_rate=0.5)
+    out, cache = nn.forward(net, x, train_mode=True, rng=rng.child("drop"))
+    d = rng.child("d").normal(size=out.shape)
+    grads, dinput = nn.backward(net, cache, d)
+    asked, dinput_asked = nn.backward(net, cache, d, input_grad=True)
+    assert dinput is None and dinput_asked.shape == x.shape
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in asked]
+    # through one linear layer the input gradient is dlogits times the weights' transpose
+    linear = nn.make_mlp((5, 3), rng.child("lin"))
+    out, cache = nn.forward(linear, x)
+    _, dx = nn.backward(linear, cache, d, input_grad=True)
+    npt.assert_array_equal(dx, d @ linear.layers[0].weights.T)
+
+
 def test_dropout_keep_fraction_monte_carlo():
     rate = 0.75
     layer = nn.DenseLayer(np.eye(1), np.zeros(1), "linear", dropout_rate=rate)
