@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .core import FormatError, Rng, ShapeError, cross_entropy, pearson, softmax_rows
+from .core import Rng, ShapeError, cross_entropy, pearson, softmax_rows
 from .nn import (
     AdamState,
     DenseLayer,
@@ -24,7 +24,6 @@ from .datasets import (
     make_benchmark,
     make_linear_sem,
     make_spurious_env,
-    read_idx,
     synth_shapes,
 )
 from .game import (

@@ -32,7 +32,7 @@ from .game import (
 )
 from .sem_game import train_sem_game
 from .theory import QuadGameSpec, bounded_linear_ne, scalar_game_grid, verify_invariance, verify_nash
-from .core import FormatError, Rng
+from .core import Rng
 from . import theory
 
 METHODS = ("F_IRM", "V_IRM", "ERM", "ERM_PER_ENV", "ROBUST", "ORACLE")
@@ -47,6 +47,10 @@ class ExperimentConfig:
     benchmark: str = "COLORED_SHAPES"
     sizes: tuple = (2000, 2000, 2000)
     flip_probs: tuple = DEFAULT_FLIP_PROBS
+    # COLORED_SHAPES is the only benchmark, and it reads no corpus, so
+    # data_dir must stay null. benchmark and data_dir remain because
+    # perfbench/workloads.py reads both and passes data_dir to
+    # datasets.make_benchmark; a change to the benchmark can drop them.
     data_dir: str = None
     height: int = 16
     width: int = 16
@@ -85,10 +89,11 @@ class ExperimentConfig:
             raise ConfigError("methods: ROBUST needs at least 2 training environments")
         if not all(0.0 <= p <= 1.0 for p in self.flip_probs):
             raise ConfigError(f"flip_probs: every value must be in [0, 1], got {list(self.flip_probs)}")
-        if self.benchmark == "COLORED_SHAPES":
-            for name in ("height", "width"):
-                if getattr(self, name) < 16:
-                    raise ConfigError(f"{name}: COLORED_SHAPES needs at least 16")
+        if self.data_dir is not None:
+            raise ConfigError(f"data_dir: must be null, {self.benchmark} reads no corpus")
+        for name in ("height", "width"):
+            if getattr(self, name) < 16:
+                raise ConfigError(f"{name}: COLORED_SHAPES needs at least 16")
         if self.baseline_iters < 1:
             raise ConfigError("baseline_iters: must be >= 1")
         if self.baseline_lr is not None and self.baseline_lr <= 0:
@@ -100,18 +105,16 @@ class ExperimentConfig:
                 "train.loss: squared loss needs regression targets, "
                 f"and {self.benchmark} has class labels"
             )
-        if self.benchmark != "COLORED_SHAPES":
-            data_dir = self.data_dir or os.environ.get("EIRM_DATA_DIR")
-            if not data_dir or not os.path.isdir(data_dir):
-                raise ConfigError(f"data_dir: {self.benchmark} needs an IDX corpus directory")
 
 
 def load_config(path, preset: str = None) -> ExperimentConfig:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not UTF-8 text ({exc})") from exc
     cfg = _from_json(ExperimentConfig, raw, "")
     if preset:
         apply_preset(cfg, preset)
@@ -264,8 +267,8 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
     for seed in seeds:
         try:
             bench = make_benchmark(
-                cfg.benchmark, cfg.sizes, seed, data_dir=cfg.data_dir,
-                flip_probs=cfg.flip_probs, height=cfg.height, width=cfg.width,
+                cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
+                height=cfg.height, width=cfg.width,
             )
         except MemoryError as exc:
             raise ConfigError(
@@ -435,7 +438,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,10 +18,6 @@ class ShapeError(ValueError):
     """Raised when operand dimensions are inconsistent."""
 
 
-class FormatError(ValueError):
-    """Raised when a binary file does not match its declared format."""
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by per-row max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)

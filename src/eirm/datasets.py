@@ -1,43 +1,34 @@
 """Multi-environment spurious-correlation benchmarks and a linear SEM generator.
 
-Each benchmark follows the same recipe: binarize a preliminary label, flip
-it with probability 0.25 to get the final label, then sample a spurious
-bit z by flipping the final label with a per-environment probability p_e.
-The spurious bit drives either image color (red vs green channel) or the
-position of a constant patch. The test environment reverses the
-correlation (p_e = 0.9 by default).
+The image benchmark, COLORED_SHAPES, follows the paper's Colored MNIST
+recipe on procedural shapes: binarize a preliminary label, flip it with
+probability 0.25 to get the final label, then sample a spurious bit z by
+flipping the final label with a per-environment probability p_e. The
+spurious bit picks the image's color (red vs green channel). The test
+environment reverses the correlation (p_e = 0.9 by default).
 
-Pixels keep the dtype of their source: COLORED_SHAPES' binary pixels are
-uint8 from generation on (one byte where float64 takes eight), IDX corpora
-are float64 multiples of 1/255. The networks widen them to float64 a batch
-or a block of rows at a time.
+Every source image is uint8 0/1 from generation on (one byte where float64
+takes eight). The networks widen pixels to float64 a batch or a block of
+rows at a time.
 """
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import FormatError, Rng
-
-IDX_MAGIC_LABELS = 0x00000801
-IDX_MAGIC_IMAGES = 0x00000803
+from .core import Rng
 
 LABEL_NOISE = 0.25
 DEFAULT_FLIP_PROBS = (0.2, 0.1, 0.9)
 
-BENCHMARKS = ("COLORED_DIGITS", "COLORED_FASHION", "COLORED_SHAPES", "PATCH_FASHION")
-
-# fashion-MNIST classes counted as footwear (label 1); everything else 0
-_FOOTWEAR = frozenset({5, 7, 9})
+BENCHMARKS = ("COLORED_SHAPES",)
 
 
 @dataclass
 class LabeledImages:
-    images: np.ndarray  # (n, H*W), grayscale in [0, 1]: uint8 0/1 (shapes) or float64 (IDX)
+    images: np.ndarray  # (n, H*W), uint8 0/1
     prelim_labels: np.ndarray  # (n,), values in {0, 1}
     height: int
     width: int
@@ -58,7 +49,7 @@ class LabeledImages:
 
 @dataclass
 class EnvironmentDataset:
-    # (n, d), in the source images' dtype; uint8 wraps under arithmetic
+    # (n, d), uint8 0/1 pixels; uint8 wraps under arithmetic
     # (1 - x is 0 or 255), so widen before computing with it
     features: np.ndarray
     labels: np.ndarray  # (n,), int
@@ -71,55 +62,14 @@ class EnvironmentDataset:
 class Benchmark:
     """Training environments plus held-out test and grayscale-oracle splits.
 
-    oracle_test is the grayscale/no-patch variant of the test rows, used to
-    score the oracle baseline.
+    oracle_test is the grayscale variant of the test rows, used to score
+    the oracle baseline.
     """
 
     train_envs: list
     test_env: EnvironmentDataset
     oracle_env: EnvironmentDataset
     oracle_test: EnvironmentDataset
-
-
-def read_idx(path):
-    """Parse an IDX file; returns (dims, data).
-
-    Image payloads (magic 0x803) come back as float64 scaled by 1/255;
-    label payloads (magic 0x801) as an int64 vector.
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 4:
-        raise FormatError(f"{path}: truncated header at byte {len(raw)}")
-    (magic,) = struct.unpack_from(">I", raw, 0)
-    if magic == IDX_MAGIC_LABELS:
-        n_dims = 1
-    elif magic == IDX_MAGIC_IMAGES:
-        n_dims = 3
-    else:
-        raise FormatError(f"{path}: bad IDX magic 0x{magic:08x} at byte 0")
-    header_len = 4 + 4 * n_dims
-    if len(raw) < header_len:
-        raise FormatError(f"{path}: truncated dimension list at byte {len(raw)}")
-    dims = struct.unpack_from(f">{n_dims}I", raw, 4)
-    count = int(np.prod(dims))
-    if len(raw) != header_len + count:
-        raise FormatError(
-            f"{path}: payload length {len(raw) - header_len} != {count} at byte {header_len}"
-        )
-    data = np.frombuffer(raw, np.uint8, count, header_len)
-    if magic == IDX_MAGIC_IMAGES:
-        return dims, np.divide(data, 255.0, dtype=np.float64).reshape(dims)
-    return dims, data.astype(np.int64)
-
-
-def load_idx_corpus(images_path, labels_path, binarize) -> LabeledImages:
-    dims, images = read_idx(images_path)
-    _, labels = read_idx(labels_path)
-    if dims[0] != labels.shape[0]:
-        raise FormatError("image/label counts differ")
-    n, h, w = dims
-    return LabeledImages(images.reshape(n, h * w), binarize(labels), h, w)
 
 
 _SHAPE_CHUNK = 2048  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
@@ -163,14 +113,16 @@ def make_spurious_env(
     rng: Rng,
     env_id: str = "env",
 ) -> EnvironmentDataset:
-    """Attach label noise and a spurious channel to a grayscale source.
+    """Attach label noise and a spurious color channel to a grayscale source.
 
     Row order is preserved, so callers can align outputs with the source,
-    and the features keep the source images' dtype.
-    COLOR mode emits H*W*3 features with the grayscale in the red channel
-    when z=1 and the green channel when z=0. PATCH mode keeps grayscale
-    and stamps a 3x3 top-left patch (z=1) or 2x2 bottom-right patch (z=0).
+    and the features keep the source images' dtype. The features are H*W*3
+    wide, with the grayscale in the red channel when z=1 and the green
+    channel when z=0. mode must be "COLOR", the only spurious channel; the
+    argument stays because callers, acceptance criterion 8 among them, pass it.
     """
+    if mode != "COLOR":
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= p_e <= 1.0:
         raise ValueError("p_e must be a probability")
     n = src.images.shape[0]
@@ -180,37 +132,10 @@ def make_spurious_env(
     y = y.astype(np.int64)
     z = z.astype(np.int64)
 
-    if mode == "COLOR":
-        rgb = np.zeros((n, h * w, 3), dtype=src.images.dtype)
-        rgb[z == 1, :, 0] = src.images[z == 1]
-        rgb[z == 0, :, 1] = src.images[z == 0]
-        features = rgb.reshape(n, h * w * 3)
-    elif mode == "PATCH":
-        imgs = src.images.reshape(n, h, w).copy()
-        imgs[z == 1, 0:3, 0:3] = 1.0
-        imgs[z == 0, h - 2 :, w - 2 :] = 1.0
-        features = imgs.reshape(n, h * w)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return EnvironmentDataset(features, y, z, env_id, float(p_e))
-
-
-def _source_corpus(name, total, seed, data_dir, height, width) -> LabeledImages:
-    rng = Rng(seed)
-    if name == "COLORED_SHAPES":
-        return synth_shapes(total, height, width, rng.child("shapes"))
-    data_dir = data_dir or os.environ.get("EIRM_DATA_DIR")
-    if data_dir is None:
-        raise FileNotFoundError(
-            f"{name} needs an IDX corpus; pass data_dir or set EIRM_DATA_DIR"
-        )
-    if name == "COLORED_DIGITS":
-        binarize = lambda y: (y >= 5).astype(np.int64)
-    else:  # fashion corpora
-        binarize = lambda y: np.isin(y, list(_FOOTWEAR)).astype(np.int64)
-    images = os.path.join(data_dir, "train-images-idx3-ubyte")
-    labels = os.path.join(data_dir, "train-labels-idx1-ubyte")
-    return load_idx_corpus(images, labels, binarize)
+    rgb = np.zeros((n, h * w, 3), dtype=src.images.dtype)
+    rgb[z == 1, :, 0] = src.images[z == 1]
+    rgb[z == 0, :, 1] = src.images[z == 0]
+    return EnvironmentDataset(rgb.reshape(n, h * w * 3), y, z, env_id, float(p_e))
 
 
 def make_benchmark(
@@ -225,21 +150,20 @@ def make_benchmark(
     """Build train/test/oracle environments from disjoint source rows.
 
     sizes lists one count per environment; the last entry is the test
-    environment (flip_probs likewise, default (0.2, 0.1, 0.9)).
+    environment (flip_probs likewise, default (0.2, 0.1, 0.9)). name must
+    be "COLORED_SHAPES" and data_dir None, since no corpus is read from
+    disk; both stay because perfbench/workloads.py passes them.
     """
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}")
+    if data_dir is not None:
+        raise ValueError(f"data_dir: {name} reads no corpus, got {data_dir!r}")
     if len(sizes) != len(flip_probs):
         raise ValueError("sizes and flip_probs must have equal length")
     total = int(sum(sizes))
-    src = _source_corpus(name, total, seed, data_dir, height, width)
-    if src.images.shape[0] < total:
-        raise ValueError(
-            f"requested {total} rows but corpus has {src.images.shape[0]}"
-        )
-    mode = "PATCH" if name == "PATCH_FASHION" else "COLOR"
     rng = Rng(seed)
-    perm = rng.child("split").permutation(src.images.shape[0])
+    src = synth_shapes(total, height, width, rng.child("shapes"))
+    perm = rng.child("split").permutation(total)
 
     envs = []
     offset = 0
@@ -249,7 +173,7 @@ def make_benchmark(
         env_id = "test" if i == len(sizes) - 1 else f"env{i}"
         sub = src.take(rows)
         envs.append(
-            (make_spurious_env(sub, p_e, mode, rng.child(env_id), env_id), sub)
+            (make_spurious_env(sub, p_e, "COLOR", rng.child(env_id), env_id), sub)
         )
 
     train = [e for e, _ in envs[:-1]]

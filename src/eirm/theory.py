@@ -21,6 +21,9 @@ from .core import Rng
 from .game import CROSS_ENTROPY, EnsembleModel, Loss, ensemble_logits, env_turn
 
 
+MAX_GRID_POINTS = 4001  # per axis: [-2, 2] at step 0.001 takes about 0.9 s and 570 MB on a 2-vCPU VM
+
+
 @dataclass
 class QuadGameSpec:
     """Two-environment quadratic-risk game on the strategy box [lo, hi].
@@ -54,8 +57,15 @@ class QuadGameSpec:
             raise ValueError("grid must be symmetric about 0")
         if not self.step > 0:
             raise ValueError("grid step must be positive")
-        if 2 * self.half_count + 1 < 11:
+        # clamped before rounding: a step near the smallest double overflows int
+        points = 2 * round(min(self.hi / self.step, MAX_GRID_POINTS)) + 1
+        if points < 11:
             raise ValueError("grid needs at least 11 points")
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid step {self.step!r} gives {2 * self.hi / self.step + 1:.3g} points "
+                f"per axis, more than {MAX_GRID_POINTS}"
+            )
 
     @property
     def half_count(self) -> int:

@@ -193,6 +193,8 @@ BAD_CONFIGS = [
     ({"train": {"hidden_dims": [10**20]}}, "train.hidden_dims"),
     ({"height": 10**20}, "height"),
     ({"sizes": [10**20, 20, 20]}, "sizes"),
+    ({"benchmark": "COLORED_DIGITS"}, "benchmark"),
+    ({"data_dir": "x"}, "data_dir"),
 ]
 
 
@@ -278,13 +280,6 @@ def test_any_json_field_values_build_a_config_or_raise_config_error(entries):
     assert all(math.isfinite(v) and -2**63 <= v < 2**63 for v in numbers), numbers
 
 
-def test_missing_idx_corpus_is_a_config_error(tmp_path, monkeypatch):
-    monkeypatch.delenv("EIRM_DATA_DIR", raising=False)
-    cfg = _write_config(tmp_path, benchmark="COLORED_DIGITS")
-    with pytest.raises(ConfigError, match="data_dir"):
-        load_config(cfg)
-
-
 def test_preset_overrides_architecture(tmp_path):
     cfg = _write_config(tmp_path)
     loaded = load_config(cfg, preset="desk")
@@ -338,6 +333,8 @@ def test_theory_grid_report_file(tmp_path):
     (["theory", "nash", "--eps", "inf"], "--eps"),
     (["theory", "invariance", "--eps", "nan"], "--eps"),
     (["theory", "nash", "--eps", "-1"], "--eps"),
+    (["theory", "grid", "--step", "1e-6"], "4001"),
+    (["theory", "grid", "--step", "1e-300"], "4001"),
 ])
 def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, monkeypatch):
     # the certificates' minimums are checked before the SEM game is trained
@@ -348,6 +345,24 @@ def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "DIR"], "Is a directory"),
+    (["run", "LATIN1"], "config: not UTF-8"),
+    (["run", "CONFIG", "--out", "FILE"], "File exists"),
+    (["theory", "grid", "--report", "DIR"], "Is a directory"),
+])
+def test_unusable_paths_exit_2(argv, named, tmp_path, capsys, monkeypatch):
+    # a path that cannot be read or written is reported like a bad config
+    monkeypatch.setattr(cli, "best_response_train", None)
+    paths = {"DIR": tmp_path, "CONFIG": _write_config(tmp_path),
+             "FILE": tmp_path / "file", "LATIN1": tmp_path / "latin1.json"}
+    paths["FILE"].write_text("x")
+    paths["LATIN1"].write_bytes('{"out_dir": "café"}'.encode("latin-1"))
+    assert main([str(paths.get(a, a)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,84 +1,17 @@
-import os
-import struct
-
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from eirm import datasets
-from eirm.core import FormatError, Rng
+from eirm.core import Rng
 from eirm.datasets import (
     DEFAULT_FLIP_PROBS,
     SemSpec,
-    load_idx_corpus,
     make_benchmark,
     make_linear_sem,
     make_spurious_env,
-    read_idx,
     synth_shapes,
 )
-
-
-def _write_idx_images(path, arr):
-    n, h, w = arr.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, n, h, w))
-        f.write(arr.astype(np.uint8).tobytes())
-
-
-def _write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, len(labels)))
-        f.write(np.asarray(labels, dtype=np.uint8).tobytes())
-
-
-def test_read_idx_roundtrip(tmp_path):
-    rng = np.random.default_rng(0)
-    imgs = rng.integers(0, 256, size=(7, 4, 5)).astype(np.uint8)
-    labels = rng.integers(0, 10, size=7).astype(np.uint8)
-    ip, lp = tmp_path / "imgs", tmp_path / "labels"
-    _write_idx_images(ip, imgs)
-    _write_idx_labels(lp, labels)
-    dims, data = read_idx(ip)
-    assert dims == (7, 4, 5)
-    npt.assert_allclose(data, imgs / 255.0)
-    dims, got = read_idx(lp)
-    npt.assert_array_equal(got, labels)
-    assert got.dtype == np.int64
-
-
-def test_read_idx_images_equal_the_two_step_formula(tmp_path):
-    imgs = np.random.default_rng(1).integers(0, 256, size=(9, 5, 6)).astype(np.uint8)
-    _write_idx_images(tmp_path / "imgs", imgs)
-    _, data = read_idx(tmp_path / "imgs")
-    assert data.dtype == np.float64
-    assert data.tobytes() == (imgs.astype(np.float64).reshape(9, 5, 6) / 255.0).tobytes()
-
-
-def test_read_idx_bad_magic_and_truncation(tmp_path):
-    p = tmp_path / "bad"
-    p.write_bytes(struct.pack(">I", 0xDEADBEEF))
-    with pytest.raises(FormatError, match="magic"):
-        read_idx(p)
-    q = tmp_path / "short"
-    q.write_bytes(struct.pack(">III", 0x00000803, 2, 3))  # missing a dim
-    with pytest.raises(FormatError, match="truncated"):
-        read_idx(q)
-    r = tmp_path / "len"
-    r.write_bytes(struct.pack(">II", 0x00000801, 10) + bytes(3))
-    with pytest.raises(FormatError, match="payload"):
-        read_idx(r)
-
-
-def test_load_idx_corpus_binarizes(tmp_path):
-    imgs = np.zeros((6, 3, 3), dtype=np.uint8)
-    labels = np.array([0, 4, 5, 9, 2, 7], dtype=np.uint8)
-    ip, lp = tmp_path / "i", tmp_path / "l"
-    _write_idx_images(ip, imgs)
-    _write_idx_labels(lp, labels)
-    src = load_idx_corpus(ip, lp, lambda y: (y >= 5).astype(np.int64))
-    npt.assert_array_equal(src.prelim_labels, [0, 0, 1, 1, 0, 1])
-    assert src.images.shape == (6, 9)
 
 
 def test_synth_shapes_properties():
@@ -140,17 +73,9 @@ def test_spurious_env_color_channel_exclusive():
         else:
             npt.assert_array_equal(rgb[i, :, 1], src.images[i])
             assert rgb[i, :, 0].sum() == 0
-
-
-def test_spurious_env_patch_placement():
-    src = synth_shapes(80, 16, 16, Rng(3))
-    env = make_spurious_env(src, 0.1, "PATCH", Rng(4))
-    imgs = env.features.reshape(80, 16, 16)
-    for i in range(80):
-        if env.spurious_bits[i] == 1:
-            npt.assert_array_equal(imgs[i, 0:3, 0:3], np.ones((3, 3)))
-        else:
-            npt.assert_array_equal(imgs[i, 14:, 14:], np.ones((2, 2)))
+    # color is the only spurious channel
+    with pytest.raises(ValueError, match="PATCH"):
+        make_spurious_env(src, 0.2, "PATCH", Rng(2))
 
 
 def test_label_flip_rate_within_3_sigma():
@@ -214,29 +139,11 @@ def test_make_benchmark_deterministic():
     npt.assert_array_equal(a.test_env.features, b.test_env.features)
 
 
-def test_make_benchmark_idx_backed(tmp_path, monkeypatch):
-    rng = np.random.default_rng(10)
-    imgs = rng.integers(0, 256, size=(400, 16, 16)).astype(np.uint8)
-    labels = rng.integers(0, 10, size=400).astype(np.uint8)
-    _write_idx_images(tmp_path / "train-images-idx3-ubyte", imgs)
-    _write_idx_labels(tmp_path / "train-labels-idx1-ubyte", labels)
-    monkeypatch.setenv("EIRM_DATA_DIR", str(tmp_path))
-    bench = make_benchmark("COLORED_DIGITS", (150, 150, 100), 0)
-    assert bench.train_envs[0].features.shape == (150, 16 * 16 * 3)
-    for env in (*bench.train_envs, bench.test_env, bench.oracle_env, bench.oracle_test):
-        assert env.features.dtype == np.float64, env.env_id
-    patch = make_benchmark("PATCH_FASHION", (150, 150, 100), 0)
-    assert patch.train_envs[0].features.shape == (150, 16 * 16)
-    assert patch.train_envs[0].features.dtype == np.float64
-    # too many requested rows is a hard error naming the capacity
-    with pytest.raises(ValueError, match="400"):
-        make_benchmark("COLORED_DIGITS", (300, 300, 300), 0)
-
-
-def test_make_benchmark_missing_corpus(monkeypatch):
-    monkeypatch.delenv("EIRM_DATA_DIR", raising=False)
-    with pytest.raises(FileNotFoundError):
-        make_benchmark("COLORED_FASHION", (10, 10, 10), 0)
+def test_make_benchmark_takes_only_colored_shapes_and_no_data_dir():
+    with pytest.raises(ValueError, match="COLORED_DIGITS"):
+        make_benchmark("COLORED_DIGITS", (10, 10, 10), 0)
+    with pytest.raises(ValueError, match="data_dir"):
+        make_benchmark("COLORED_SHAPES", (10, 10, 10), 0, data_dir="x")
 
 
 def test_linear_sem_recovers_gamma_by_ols():
