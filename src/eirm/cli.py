@@ -9,6 +9,7 @@ certificates, exiting nonzero on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -333,12 +334,11 @@ def _write_table(results: dict, out: str) -> None:
         f.write("\n".join(md_lines) + "\n")
 
 
-def _write_report(kv: dict, text: str, path) -> None:
+def _write_report(kv: dict, text: str, out) -> None:
     print(text)
-    if path:
-        with open(path, "w") as f:
-            for key, value in kv.items():
-                f.write(f"{key}={value}\n")
+    if out is not None:
+        for key, value in kv.items():
+            out.write(f"{key}={value}\n")
 
 
 def cmd_run(args) -> int:
@@ -357,46 +357,50 @@ def _quad_spec(args, **kw) -> QuadGameSpec:
 
 
 def cmd_theory(args) -> int:
-    report_path = args.report
-    if args.sub == "grid":
-        res = scalar_game_grid(_quad_spec(args, step=args.step))
-        note = ""
-        if not res.invariant_set:
-            note = " (no invariant predictor exists on this instance)"
-        text = (
-            f"NE pairs: {len(res.ne_pairs)}, NE ensembles: {sorted(res.ne_ensembles)}\n"
-            f"invariant set: {sorted(res.invariant_set)}{note}\n"
-            f"equal={res.equal}"
-        )
-        _write_report(res.to_kv(), text, report_path)
-        return 0
-    if args.sub == "bounded":
-        pair, interior = bounded_linear_ne(_quad_spec(args, step=None))
-        kv = {"w1": pair[0], "w2": pair[1], "interior": interior}
-        _write_report(kv, f"fixed point {pair}, interior={interior}", report_path)
-        return 0
-    # nash / invariance run against the linear-SEM scenario
-    if args.seed < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-    if not (np.isfinite(args.eps) and args.eps > 0):
-        raise ConfigError(f"--eps: must be finite and positive, got {args.eps}")
-    if args.sub == "nash" and args.budget < theory.MIN_BUDGET:
-        raise ConfigError(f"--budget: must be at least {theory.MIN_BUDGET}, got {args.budget}")
-    if args.sub == "invariance" and args.samples < theory.MIN_SAMPLES:
-        raise ConfigError(f"--samples: must be at least {theory.MIN_SAMPLES}, got {args.samples}")
-    model, envs, _ = train_sem_game(seed=args.seed)
-    if args.sub == "nash":
-        report = verify_nash(
-            model, envs, deviation_budget=args.budget, eps=args.eps,
-            loss=SQUARED, lr=2e-2, seed=args.seed,
-        )
-    else:
-        report = verify_invariance(
-            model, envs, n_perturb=args.samples, eps=args.eps,
-            rng=Rng(args.seed), loss=SQUARED, lr=2e-2,
-        )
-    _write_report(report.to_kv(), report.to_text(), report_path)
-    return 0 if report.passed else 1
+    if args.sub in ("grid", "bounded"):
+        spec = _quad_spec(args, step=args.step if args.sub == "grid" else None)
+    else:  # nash / invariance run against the linear-SEM scenario
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        if not (np.isfinite(args.eps) and args.eps > 0):
+            raise ConfigError(f"--eps: must be finite and positive, got {args.eps}")
+        if args.sub == "nash" and args.budget < theory.MIN_BUDGET:
+            raise ConfigError(f"--budget: must be at least {theory.MIN_BUDGET}, got {args.budget}")
+        if args.sub == "invariance" and args.samples < theory.MIN_SAMPLES:
+            raise ConfigError(f"--samples: must be at least {theory.MIN_SAMPLES}, got {args.samples}")
+    # the report is opened before the work, so a path that cannot be written
+    # fails before anything is computed or printed
+    with (open(args.report, "w") if args.report else contextlib.nullcontext()) as out:
+        if args.sub == "grid":
+            res = scalar_game_grid(spec)
+            note = ""
+            if not res.invariant_set:
+                note = " (no invariant predictor exists on this instance)"
+            text = (
+                f"NE pairs: {len(res.ne_pairs)}, NE ensembles: {sorted(res.ne_ensembles)}\n"
+                f"invariant set: {sorted(res.invariant_set)}{note}\n"
+                f"equal={res.equal}"
+            )
+            _write_report(res.to_kv(), text, out)
+            return 0
+        if args.sub == "bounded":
+            pair, interior = bounded_linear_ne(spec)
+            kv = {"w1": pair[0], "w2": pair[1], "interior": interior}
+            _write_report(kv, f"fixed point {pair}, interior={interior}", out)
+            return 0
+        model, envs, _ = train_sem_game(seed=args.seed)
+        if args.sub == "nash":
+            report = verify_nash(
+                model, envs, deviation_budget=args.budget, eps=args.eps,
+                loss=SQUARED, lr=2e-2, seed=args.seed,
+            )
+        else:
+            report = verify_invariance(
+                model, envs, n_perturb=args.samples, eps=args.eps,
+                rng=Rng(args.seed), loss=SQUARED, lr=2e-2,
+            )
+        _write_report(report.to_kv(), report.to_text(), out)
+        return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -176,7 +176,7 @@ class TrainConfig:
     termination: TerminationRule = field(default_factory=TerminationRule)
     seed: int = 0
     loss: Loss = CROSS_ENTROPY  # a Loss member or its string value
-    # architecture used when best_response_train builds the model itself
+    # architecture used when play builds the model itself
     hidden_dims: tuple = (390, 390)
     phi_hidden_dims: tuple = (390,)
     repr_dim: int = 390
@@ -449,6 +449,16 @@ def _parts(player) -> list:
     return player if isinstance(player, list) else [player]
 
 
+def _player_data(envs, loss: Loss) -> list:
+    """Each player's (features, targets): its features an array or, for a pooled
+    player, the list of its datasets' arrays; its targets one array."""
+    return [
+        ([d.features for d in parts] if len(parts) > 1 else parts[0].features,
+         _joined([loss.targets(d) for d in parts]))
+        for parts in map(_parts, envs)
+    ]
+
+
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
@@ -476,18 +486,13 @@ class TraceRecorder:
     representation output. A test step runs every network on `tail` alone.
     The `nn.predict` passes run from these methods, not from a public game
     function, so profilers see them as direct children of the training call.
-    `data` holds each player's (features, targets), its features an array or,
-    for a pooled player, the list of its datasets' arrays.
+    `data` holds each player's (features, targets), as `_player_data` builds them.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
         players = [_parts(p) for p in envs]
-        self.data = [
-            ([d.features for d in parts] if len(parts) > 1 else parts[0].features,
-             _joined([self.loss.targets(d) for d in parts]))
-            for parts in players
-        ]
+        self.data = _player_data(envs, self.loss)
         self.targets = _joined([y for _, y in self.data])
         bits = [getattr(d, "spurious_bits", None) for parts in players for d in parts]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
@@ -557,8 +562,6 @@ class TraceRecorder:
             [loss.spurious_correlation(o, self.bits) for o in clf_outs],
             test_acc,
         )
-        # observe before the pooled outputs are freed: freeing them first let glibc
-        # trim and re-fault the heap top on every turn (SEM game training 40% slower)
         fired = monitor is not None and monitor.observe(loss.monitored(out, self.targets), step)
         return rec, fired
 
@@ -713,21 +716,20 @@ def build_ensemble(envs, config: TrainConfig, mode: str, rng: Rng) -> EnsembleMo
     return EnsembleModel(classifiers, representation)
 
 
-def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
-                        model: EnsembleModel = None, test_env=None,
-                        trace_owner: str = None):
-    """Play the ensemble game by round-robin best response; returns (model, trace).
+def play(envs, config: TrainConfig, mode: str = FIXED_PHI, model: EnsembleModel = None):
+    """Set up the ensemble game by round-robin best response; returns (model, turns).
 
-    Turn order per iteration: representation turn (variable-phi only), then
-    each environment in index order for steps_per_turn gradient steps. In
-    ROBUST mode the model has one classifier, and each iteration is one
-    robust_turn over a batch of every environment. The trace records one row
-    after every player's turn. The returned model is the state at
-    termination, which is the low-correlation state the monitor is designed
-    to catch. A model passed in must have this many classifiers, and a
-    representation network if the mode is VARIABLE_PHI. Each entry of envs
-    is one player: a dataset, or a list of datasets whose rows are pooled in
-    order without being copied into one array.
+    turns is a generator that plays one player's turn per item and yields the
+    turn's owner ("phi", "env{e}" or "robust"); the model trains in place, and
+    draining turns plays config.max_iters iterations. Turn order per
+    iteration: representation turn (variable-phi only), then each environment
+    in index order for steps_per_turn gradient steps. In ROBUST mode the model
+    has one classifier, and each iteration is one robust_turn over a batch of
+    every environment. A model passed in must have this many classifiers, and
+    a representation network if the mode is VARIABLE_PHI; both are checked
+    here, before any turn. Each entry of envs is one player: a dataset, or a
+    list of datasets whose rows are pooled in order without being copied into
+    one array.
     """
     if not envs:
         raise ValueError("need at least one environment")
@@ -744,17 +746,9 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     elif mode == VARIABLE_PHI and model.representation is None:
         raise ValueError("variable-phi game needs a representation network")
     loss = config.loss
-    recorder = TraceRecorder(envs, loss, test_env, config.test_every)
-
-    warm = max(1, recorder.targets.shape[0] // config.batch_size)  # one epoch of pooled rows
-    rule = config.termination
-    min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
-    monitor = (TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
-               if rule.enabled else None)
-
     batchers = [
         _Batcher(x, y, config.batch_size, rng.child(f"batch{e}"))
-        for e, (x, y) in enumerate(recorder.data)
+        for e, (x, y) in enumerate(_player_data(envs, loss))
     ]
     opts = [
         nn.AdamState.for_params(clf.parameters(), lr=config.lr)
@@ -767,33 +761,53 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     )
     drop_rng = rng.child("dropout")
 
-    trace = TrainTrace()
-    step = 0
+    def turns():
+        step = 0  # turns played; the dropout keys name it
+        for _ in range(config.max_iters):
+            if mode == ROBUST:
+                robust_turn(model, [b.next() for b in batchers], opts[0],
+                            [drop_rng.child(f"s{step + 1}e{e}") for e in range(len(envs))], loss)
+                step += 1
+                yield "robust"
+                continue
+            if mode == VARIABLE_PHI:
+                for _ in range(config.steps_per_turn):
+                    phi_turn(model, [b.next() for b in batchers], phi_opt,
+                             rng=drop_rng.child(f"phi{step}"), loss=loss)
+                step += 1
+                yield "phi"
+            for e in range(model.n_envs):
+                for k in range(config.steps_per_turn):
+                    env_turn(model, e, *batchers[e].next(), opts[e],
+                             rng=drop_rng.child(f"env{e}_{step}_{k}"), loss=loss)
+                step += 1
+                yield f"env{e}"
 
-    def record(owner: str) -> bool:
-        nonlocal step
-        step += 1
+    return model, turns()
+
+
+def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
+                        model: EnsembleModel = None, test_env=None,
+                        trace_owner: str = None):
+    """Play the ensemble game (play) and record it; returns (model, trace).
+
+    The trace records one row after every player's turn, its owner
+    trace_owner if given. Training stops after the turn on which the
+    termination monitor fires, or when play runs out of iterations. The
+    returned model is the state at termination, which is the low-correlation
+    state the monitor is designed to catch.
+    """
+    model, turns = play(envs, config, mode, model)
+    recorder = TraceRecorder(envs, config.loss, test_env, config.test_every)
+    warm = max(1, recorder.targets.shape[0] // config.batch_size)  # one epoch of pooled rows
+    rule = config.termination
+    min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
+    monitor = (TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
+               if rule.enabled else None)
+    trace = TrainTrace()
+    for step, owner in enumerate(turns, 1):
         rec, fired = recorder.record(model, step, trace_owner or owner, monitor)
         trace.append(rec)
-        return fired
-
-    for _ in range(config.max_iters):
-        if mode == ROBUST:
-            robust_turn(model, [b.next() for b in batchers], opts[0],
-                        [drop_rng.child(f"s{step + 1}e{e}") for e in range(len(envs))], loss)
-            if record("robust"):
-                return model, trace
-            continue
-        if mode == VARIABLE_PHI:
-            for _ in range(config.steps_per_turn):
-                phi_turn(model, [b.next() for b in batchers], phi_opt,
-                         rng=drop_rng.child(f"phi{step}"), loss=loss)
-            if record("phi"):
-                return model, trace
-        for e in range(model.n_envs):
-            for k in range(config.steps_per_turn):
-                env_turn(model, e, *batchers[e].next(), opts[e],
-                         rng=drop_rng.child(f"env{e}_{step}_{k}"), loss=loss)
-            if record(f"env{e}"):
-                return model, trace
+        if fired:
+            break
     return model, trace

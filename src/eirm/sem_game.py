@@ -20,7 +20,7 @@ from .game import (
     EnsembleModel,
     TerminationRule,
     TrainConfig,
-    best_response_train,
+    play,
 )
 
 DEFAULT_GAMMA = (1.0, -0.5, 0.25)
@@ -62,11 +62,16 @@ def sem_train_config(seed: int = 0, max_iters: int = 600) -> TrainConfig:
 def train_sem_game(spec: SemSpec = None, config: TrainConfig = None, seed: int = 0):
     """Train the fixed-projection SEM game; returns (model, envs, gamma).
 
-    The returned model's classifiers are linear heads on the causal
-    coordinates; their averaged weights estimate gamma.
+    The game plays all config.max_iters iterations and records no trace, so
+    no termination monitor can stop it: a config whose termination rule is
+    enabled is rejected. The returned model's classifiers are linear heads on
+    the causal coordinates; their averaged weights estimate gamma.
     """
     spec = spec or default_sem_spec()
     config = config or sem_train_config(seed)
+    if config.termination.enabled:
+        raise ValueError("termination: the SEM game records no trace for a monitor to "
+                         "observe; pass TerminationRule(enabled=False)")
     envs, gamma = make_linear_sem(spec, Rng(seed).child("sem-data"))
     n_total = spec.n_causal + spec.n_spurious
     rng = Rng(config.seed).child("sem-init")
@@ -75,7 +80,9 @@ def train_sem_game(spec: SemSpec = None, config: TrainConfig = None, seed: int =
         for e in range(len(envs))
     ]
     model = EnsembleModel(classifiers, causal_projection(n_total, spec.n_causal))
-    model, _ = best_response_train(envs, config, FIXED_PHI, model=model)
+    model, turns = play(envs, config, FIXED_PHI, model)
+    for _ in turns:
+        pass
     return model, envs, gamma
 
 

@@ -352,17 +352,22 @@ def test_bad_arguments_exit_2_before_any_work(argv, named, tmp_path, capsys, mon
     (["run", "LATIN1"], "config: not UTF-8"),
     (["run", "CONFIG", "--out", "FILE"], "File exists"),
     (["theory", "grid", "--report", "DIR"], "Is a directory"),
+    (["theory", "nash", "--report", "DIR"], "Is a directory"),
+    (["theory", "bounded", "--report", "DIR"], "Is a directory"),
 ])
 def test_unusable_paths_exit_2(argv, named, tmp_path, capsys, monkeypatch):
-    # a path that cannot be read or written is reported like a bad config
+    # a path that cannot be read or written is reported like a bad config,
+    # before any training or printing
     monkeypatch.setattr(cli, "best_response_train", None)
+    monkeypatch.setattr(cli, "train_sem_game", None)
     paths = {"DIR": tmp_path, "CONFIG": _write_config(tmp_path),
              "FILE": tmp_path / "file", "LATIN1": tmp_path / "latin1.json"}
     paths["FILE"].write_text("x")
     paths["LATIN1"].write_bytes('{"out_dir": "café"}'.encode("latin-1"))
     assert main([str(paths.get(a, a)) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv", [

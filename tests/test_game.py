@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eirm import baselines, game, nn
+from eirm import baselines, game, nn, sem_game
 from eirm.core import Rng, ShapeError, softmax_rows
 from eirm.datasets import make_benchmark, make_linear_sem, make_spurious_env, synth_shapes
 from eirm.game import (
@@ -29,7 +29,7 @@ from eirm.game import (
     robust_turn,
     spurious_correlation,
 )
-from eirm.sem_game import default_sem_spec, sem_train_config, train_sem_game
+from eirm.sem_game import causal_projection, default_sem_spec, sem_train_config, train_sem_game
 
 
 def _tiny_model(n_envs, in_dim=4, out_dim=2, seed=0):
@@ -381,6 +381,51 @@ def test_prebuilt_model_must_fit_the_game(monkeypatch):
         best_response_train(envs, cfg, FIXED_PHI, model=lone)
 
 
+def test_play_checks_on_the_call_and_yields_each_turns_owner():
+    bench = make_benchmark("COLORED_SHAPES", (60, 60, 60), 0)
+    envs, cfg = bench.train_envs, _small_cfg(max_iters=2)
+    fixed = build_ensemble(envs, cfg, FIXED_PHI, Rng(0))
+    # the call raises; no turn is asked for
+    with pytest.raises(ValueError, match="variable-phi game needs a representation network"):
+        game.play(envs, cfg, VARIABLE_PHI, model=fixed)
+    with pytest.raises(ValueError, match="model has 2 classifiers"):
+        game.play(envs + envs[:1], cfg, FIXED_PHI, model=fixed)
+    model, turns = game.play(envs, cfg, VARIABLE_PHI)
+    assert model.representation is not None
+    assert list(turns) == ["phi", "env0", "env1"] * 2
+    _, turns = game.play(envs, cfg, game.ROBUST)
+    assert list(turns) == ["robust"] * 2
+
+
+def test_sem_game_builds_no_recorder(monkeypatch):
+    monkeypatch.setattr(game, "TraceRecorder", None)  # building one would raise
+    model, envs, _ = train_sem_game(default_sem_spec(200), sem_train_config(max_iters=4))
+    assert model.n_envs == len(envs)
+
+
+def test_sem_game_trains_the_classifiers_a_recorded_game_trains():
+    spec, config = default_sem_spec(300), sem_train_config(seed=3, max_iters=20)
+    model, envs, _ = train_sem_game(spec, config, seed=3)
+    # the initial model train_sem_game builds
+    rng = Rng(config.seed).child("sem-init")
+    initial = EnsembleModel(
+        [nn.make_mlp((spec.n_causal, 1), rng.child(f"clf{e}")) for e in range(len(envs))],
+        causal_projection(spec.n_causal + spec.n_spurious, spec.n_causal),
+    )
+    recorded, trace = best_response_train(envs, config, FIXED_PHI, model=initial)
+    assert len(trace.records) == config.max_iters * len(envs)
+    assert [_params_digest(c) for c in model.classifiers] == [
+        _params_digest(c) for c in recorded.classifiers
+    ]
+
+
+def test_sem_game_rejects_an_enabled_termination_rule(monkeypatch):
+    monkeypatch.setattr(sem_game, "make_linear_sem", None)  # rejected before the data are made
+    config = dataclasses.replace(sem_train_config(), termination=TerminationRule())
+    with pytest.raises(ValueError, match="termination"):
+        train_sem_game(default_sem_spec(200), config)
+
+
 class _CheckedRecorder(TraceRecorder):
     """Checks every row against a freshly built recorder's row for the same state."""
 
@@ -402,11 +447,12 @@ def test_recorder_rows_equal_a_fresh_recorders(monkeypatch):
     monkeypatch.setattr(game, "TraceRecorder", _CheckedRecorder)
     bench = _small_bench(n=60)
     cfg = _small_cfg(max_iters=4, dropout_rate=0.5, test_every=3)
+    sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
     runs = {
         "F_IRM": lambda: best_response_train(bench.train_envs, cfg, FIXED_PHI, test_env=bench.test_env),
         "V_IRM": lambda: best_response_train(bench.train_envs, cfg, VARIABLE_PHI, test_env=bench.test_env),
         "ROBUST": lambda: baselines.train_robust_minmax(bench.train_envs, cfg, test_env=bench.test_env),
-        "SEM": lambda: train_sem_game(default_sem_spec(200), sem_train_config(max_iters=4)),
+        "SEM": lambda: best_response_train(sem_envs, sem_train_config(max_iters=4), FIXED_PHI),
     }
     for name, run in runs.items():
         before = _CheckedRecorder.rows
