@@ -97,8 +97,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: COLORED_SHAPES needs at least 16")
         if self.baseline_iters < 1:
             raise ConfigError("baseline_iters: must be >= 1")
-        if self.baseline_lr is not None and self.baseline_lr <= 0:
-            raise ConfigError("baseline_lr: must be positive")
+        if self.baseline_lr is not None and not 0 < self.baseline_lr <= 1:
+            raise ConfigError(f"baseline_lr: must be in (0, 1], got {self.baseline_lr!r}")
         if self.baseline_dropout is not None and not 0.0 <= self.baseline_dropout < 1.0:
             raise ConfigError("baseline_dropout: must be in [0, 1)")
         if self.train.loss is SQUARED:

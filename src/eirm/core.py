@@ -78,27 +78,34 @@ class Rng:
 
     A child stream is keyed by (seed, label path), so drawing from one
     child never perturbs another. The same seed reproduces identical
-    streams across runs and platforms (PCG64). The PCG64 generator is built
+    streams across runs and platforms (PCG64). A child hashes its own label
+    only when it draws or derives a child, and the PCG64 generator is built
     on the first draw (`np`), not with the stream: most streams only derive
     children or are never drawn from (a dropout stream at rate 0), and
-    building one costs tens of microseconds.
+    building a generator costs tens of microseconds.
     """
 
-    def __init__(self, seed: int, _path: tuple = ()):
+    def __init__(self, seed: int, _keys: tuple = (), _label: str = None):
         self.seed = int(seed)
-        self._path = _path
+        self._keys = _keys  # the path's label keys; _label's joins them when hashed
+        self._label = _label
         self._np = None
+
+    def _path(self) -> tuple:
+        if self._label is not None:
+            self._keys, self._label = self._keys + (_label_key(self._label),), None
+        return self._keys
 
     @property
     def np(self) -> np.random.Generator:
         if self._np is None:
             self._np = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence([self.seed, *(self._path or (0,))]))
+                np.random.PCG64(np.random.SeedSequence([self.seed, *(self._path() or (0,))]))
             )
         return self._np
 
     def child(self, label: str) -> "Rng":
-        return Rng(self.seed, self._path + (_label_key(label),))
+        return Rng(self.seed, self._path(), label)
 
     # thin delegations for the draws the codebase actually uses
     def uniform(self, lo, hi, size=None):

@@ -185,8 +185,8 @@ class TrainConfig:
     test_every: int = 10  # trace cadence for test accuracy
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr <= 1:
+            raise ValueError(f"lr must be in (0, 1], got {self.lr!r}")
         for name in ("batch_size", "steps_per_turn", "max_iters", "test_every", "repr_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -195,8 +195,8 @@ class TrainConfig:
                 raise ValueError(f"{name}: every width must be >= 1, got {list(getattr(self, name))}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l2_coeff < 0:
-            raise ValueError("l2_coeff must be >= 0")
+        if not 0 <= self.l2_coeff <= 1:
+            raise ValueError(f"l2_coeff must be in [0, 1], got {self.l2_coeff!r}")
         self.loss = Loss(self.loss)
 
 
@@ -598,18 +598,17 @@ def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
 
     Only w^e moves; the ensemble mean contributes the 1/n_envs chain factor
     to its logit gradient. The representation and all other classifiers are
-    read-only here.
+    read-only here, and run in inference mode (nn.predict).
     """
     if not 0 <= e < model.n_envs:
         raise IndexError(f"environment index {e} out of range")
     z = model.represent(batch_x)
     outputs = []
-    cache_e = None
     for q, clf in enumerate(model.classifiers):
-        train = q == e
-        out, cache = nn.forward(clf, z, train_mode=train, rng=rng if train else None)
-        if train:
-            cache_e = cache
+        if q == e:
+            out, cache_e = nn.forward(clf, z, train_mode=True, rng=rng)
+        else:
+            out = nn.predict(clf, z)
         outputs.append(out)
     ens = sum(outputs) / model.n_envs
     dlogits = Loss(loss).grad(ens, batch_y) / model.n_envs

@@ -128,7 +128,8 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
     # is 0 <= x; maximum propagates NaN. min(pre, 0) keeps expm1 from overflowing.
     out = np.minimum(pre, 0.0)
     np.expm1(out, out=out)
-    out *= ELU_ALPHA
+    if ELU_ALPHA != 1.0:
+        out *= ELU_ALPHA
     return np.maximum(out, pre, out=out)
 
 
@@ -243,8 +244,10 @@ def backward(net: Mlp, cache: list, dlogits: np.ndarray, input_grad: bool = Fals
         layer, c = net.layers[i], cache[i]
         if c["mask"] is not None:
             d = d * c["mask"]
-        d = d * _activate_grad(c["pre"], c["post"], layer.activation)
-        grads[2 * i] = c["x"].T @ d + 2.0 * layer.l2_coeff * layer.weights
+        if layer.activation != "linear":
+            d = d * _activate_grad(c["pre"], c["post"], layer.activation)
+        grads[2 * i] = c["x"].T @ d
+        grads[2 * i] += 2.0 * layer.l2_coeff * layer.weights
         grads[2 * i + 1] = d.sum(axis=0)
         d = d @ layer.weights.T if i > 0 or input_grad else None
     return grads, d

@@ -9,6 +9,8 @@ on the causal features).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import nn
@@ -65,7 +67,8 @@ def train_sem_game(spec: SemSpec = None, config: TrainConfig = None, seed: int =
     The game plays all config.max_iters iterations and records no trace, so
     no termination monitor can stop it: a config whose termination rule is
     enabled is rejected. The returned model's classifiers are linear heads on
-    the causal coordinates; their averaged weights estimate gamma.
+    the causal coordinates; their averaged weights estimate gamma. The fixed
+    projection runs once per environment, not once per batch.
     """
     spec = spec or default_sem_spec()
     config = config or sem_train_config(seed)
@@ -73,17 +76,19 @@ def train_sem_game(spec: SemSpec = None, config: TrainConfig = None, seed: int =
         raise ValueError("termination: the SEM game records no trace for a monitor to "
                          "observe; pass TerminationRule(enabled=False)")
     envs, gamma = make_linear_sem(spec, Rng(seed).child("sem-data"))
-    n_total = spec.n_causal + spec.n_spurious
+    phi = causal_projection(spec.n_causal + spec.n_spurious, spec.n_causal)
     rng = Rng(config.seed).child("sem-init")
     classifiers = [
         nn.make_mlp((spec.n_causal, 1), rng.child(f"clf{e}"))
         for e in range(len(envs))
     ]
-    model = EnsembleModel(classifiers, causal_projection(n_total, spec.n_causal))
-    model, turns = play(envs, config, FIXED_PHI, model)
+    # phi is frozen, so each environment is projected once and the heads play
+    # on the projections: a row's projection is the same bits in any batch
+    projected = [replace(env, features=nn.predict(phi, env.features)) for env in envs]
+    _, turns = play(projected, config, FIXED_PHI, EnsembleModel(classifiers))
     for _ in turns:
         pass
-    return model, envs, gamma
+    return EnsembleModel(classifiers, phi), envs, gamma
 
 
 def ensemble_coefficients(model: EnsembleModel) -> np.ndarray:

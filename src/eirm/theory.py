@@ -224,17 +224,28 @@ MIN_SAMPLES = 100  # fewest perturbation samples verify_invariance takes
 BATCH_SIZE = 256  # rows per retraining step of verify_nash and verify_invariance
 
 
-def _full_risk(model: EnsembleModel, env, loss: Loss) -> float:
-    return loss.risk(ensemble_logits(model, env.features), loss.targets(env))
+def _head_inputs(model: EnsembleModel, envs, loss: Loss) -> list:
+    """Per environment, (the classifiers' input, the targets).
+
+    The certificates keep the representation frozen, so it runs here once per
+    environment and every risk and retraining step runs the classifiers alone
+    on its output: a row's representation is the same bits in any batch.
+    """
+    phi = model.representation
+    return [(env.features if phi is None else nn.predict(phi, env.features), loss.targets(env))
+            for env in envs]
 
 
-def _retrain(trial: EnsembleModel, e: int, env, loss: Loss, steps: int, lr: float, rng: Rng):
-    """Trains classifier e of trial alone on env by env_turn; yields after each step.
+def _full_risk(model: EnsembleModel, x, y, loss: Loss) -> float:
+    return loss.risk(ensemble_logits(model, x), y)
+
+
+def _retrain(trial: EnsembleModel, e: int, x, y, loss: Loss, steps: int, lr: float, rng: Rng):
+    """Trains classifier e of trial alone on rows (x, y) by env_turn; yields after each step.
 
     Step k draws its batch with replacement from rng and its dropout stream
     from rng.child(f"drop{k}"); the value yielded is k.
     """
-    x, y = env.features, loss.targets(env)
     opt = nn.AdamState.for_params(trial.classifiers[e].parameters(), lr=lr)
     bs = min(BATCH_SIZE, x.shape[0])
     for step in range(1, steps + 1):
@@ -264,15 +275,16 @@ def verify_nash(
     loss = Loss(loss)
     rng = Rng(seed)
     eval_every = max(1, deviation_budget // 20)
+    heads, data = EnsembleModel(model.classifiers), _head_inputs(model, envs, loss)
     entries = []
-    for e, env in enumerate(envs):
-        before = best = _full_risk(model, env, loss)
-        clfs = [c.copy() if q == e else c for q, c in enumerate(model.classifiers)]
-        trial = EnsembleModel(clfs, model.representation)
-        steps = _retrain(trial, e, env, loss, deviation_budget, lr, rng.child(f"dev{e}"))
+    for e, (env, (x, y)) in enumerate(zip(envs, data)):
+        before = best = _full_risk(heads, x, y, loss)
+        clfs = [c.copy() if q == e else c for q, c in enumerate(heads.classifiers)]
+        trial = EnsembleModel(clfs)
+        steps = _retrain(trial, e, x, y, loss, deviation_budget, lr, rng.child(f"dev{e}"))
         for step in steps:
             if step % eval_every == 0 or step == deviation_budget:
-                best = min(best, _full_risk(trial, env, loss))
+                best = min(best, _full_risk(trial, x, y, loss))
         entries.append(
             {"env": getattr(env, "env_id", f"env{e}"), "before": before,
              "best": best, "gain": before - best}
@@ -349,9 +361,10 @@ def verify_invariance(
         raise ValueError(f"need at least {MIN_SAMPLES} perturbation samples")
     loss = Loss(loss)
     rng = rng or Rng(0)
+    data = _head_inputs(model, envs, loss)
     avg = average_classifier(model)
-    avg_model = EnsembleModel([avg], model.representation)
-    baselines = [_full_risk(avg_model, env, loss) for env in envs]
+    avg_model = EnsembleModel([avg])
+    baselines = [_full_risk(avg_model, x, y, loss) for x, y in data]
 
     candidates = []
     noise = rng.child("noise")
@@ -364,18 +377,18 @@ def verify_invariance(
                 rms = float(np.sqrt(np.mean(p**2)))
                 p += noise.normal(scale=scale * max(rms, 1e-12), size=p.shape)
             candidates.append(cand)
-    for e, env in enumerate(envs):
+    for e, (x, y) in enumerate(data):
         cand = avg.copy()
-        retrain = EnsembleModel([cand], model.representation)
-        for _ in _retrain(retrain, 0, env, loss, retrain_steps, lr, rng.child(f"retrain{e}")):
+        retrain = EnsembleModel([cand])
+        for _ in _retrain(retrain, 0, x, y, loss, retrain_steps, lr, rng.child(f"retrain{e}")):
             pass
         candidates.append(cand)
 
     bests = list(baselines)
     for cand in candidates:
-        cand_model = EnsembleModel([cand], model.representation)
-        for e, env in enumerate(envs):
-            bests[e] = min(bests[e], _full_risk(cand_model, env, loss))
+        cand_model = EnsembleModel([cand])
+        for e, (x, y) in enumerate(data):
+            bests[e] = min(bests[e], _full_risk(cand_model, x, y, loss))
     entries = [
         {
             "env": getattr(env, "env_id", f"env{e}"),

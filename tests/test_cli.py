@@ -187,6 +187,9 @@ BAD_CONFIGS = [
     ({"flip_probs": [0.2, float("-inf"), 0.9]}, "flip_probs"),
     ({"train": {"l2_coeff": -1.0}}, "train.l2_coeff"),
     ({"train": {"l2_coeff": float("nan")}}, "train.l2_coeff"),
+    ({"train": {"lr": 1e18}}, "train.lr"),
+    ({"baseline_lr": 1e18}, "baseline_lr"),
+    ({"train": {"l2_coeff": 1e18}}, "train.l2_coeff"),
     ({"train": {"termination": {"min_steps": -5}}}, "train.termination.min_steps"),
     ({"train": {"termination": {"threshold": float("nan")}}}, "train.termination.threshold"),
     ({"train": {"termination": {"window": 10**23}}}, "train.termination.window"),

@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from eirm import core
 from eirm.core import (
     Rng,
     _label_key,
@@ -118,7 +119,7 @@ def test_rng_nested_children_reproducible():
 
 
 
-def test_rng_child_draws_equal_an_eagerly_built_generators():
+def test_rng_child_draws_equal_an_eagerly_built_generators(monkeypatch):
     # a stream's generator is built on its first draw, from the SeedSequence of
     # (seed, label keys), so its draws are those of a generator built up front
     def eager(seed, *labels):
@@ -133,3 +134,21 @@ def test_rng_child_draws_equal_an_eagerly_built_generators():
         npt.assert_array_equal(child.random(7), ref_child.random(7))
         npt.assert_array_equal(child.integers(0, 100, size=4), ref_child.integers(0, 100, size=4))
         npt.assert_array_equal(parent.permutation(9), ref.permutation(9))
+
+    # a child hashes its label only when it draws or derives a child
+    hashed = []
+    monkeypatch.setattr(core, "_label_key", lambda label: hashed.append(label) or _label_key(label))
+    for draws_first in (False, True):
+        hashed.clear()
+        lazy = Rng(5).child("lazy")
+        assert hashed == []
+        if draws_first:
+            npt.assert_array_equal(lazy.random(5), eager(5, "lazy").random(5))
+        grandchildren = [lazy.child("g0").child("x"), lazy.child("g1")]
+        assert hashed == ["lazy", "g0"]
+        npt.assert_array_equal(grandchildren[0].normal(size=4), eager(5, "lazy", "g0", "x").normal(size=4))
+        npt.assert_array_equal(grandchildren[1].integers(0, 100, size=6),
+                               eager(5, "lazy", "g1").integers(0, 100, size=6))
+        if not draws_first:
+            npt.assert_array_equal(lazy.random(5), eager(5, "lazy").random(5))
+        assert hashed == ["lazy", "g0", "x", "g1"]

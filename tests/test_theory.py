@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -284,3 +286,46 @@ def test_reports_serialize(sem_setup):
     assert set(kv) >= {"eps", "max_gain", "passed"}
     text = report.to_text()
     assert ("PASS" in text) or ("FAIL" in text)
+
+
+def test_the_frozen_representation_runs_once_per_environment_per_call(monkeypatch):
+    calls = []  # (net, rows) of every nn.predict call; holding net keeps its id unique
+    predict = nn.predict
+
+    def counted(net, batch):
+        calls.append((net, np.shape(batch)[0]))
+        return predict(net, batch)
+
+    monkeypatch.setattr(nn, "predict", counted)
+    spec = default_sem_spec(200)
+    model, envs, _ = train_sem_game(spec, sem_train_config(max_iters=20))
+
+    def phi_rows():
+        rows = [rows for net, rows in calls if net is model.representation]
+        calls.clear()
+        return rows
+
+    once = [spec.samples_per_env] * len(envs)  # one pass over each environment
+    assert phi_rows() == once
+    verify_nash(model, envs, deviation_budget=100, loss="squared", lr=2e-2)
+    assert phi_rows() == once
+    verify_invariance(model, envs, n_perturb=100, rng=Rng(0), loss="squared",
+                      retrain_steps=10, lr=2e-2)
+    assert phi_rows() == once
+
+
+def test_certificates_of_a_representation_equal_those_of_its_heads_on_projected_data(sem_setup):
+    model, envs, _ = sem_setup
+    heads = EnsembleModel(model.classifiers)
+    projected = [
+        dataclasses.replace(env, features=nn.predict(model.representation, env.features))
+        for env in envs
+    ]
+    for certify in (
+        lambda m, d: verify_nash(m, d, deviation_budget=100, loss="squared", lr=2e-2, seed=1),
+        lambda m, d: verify_invariance(m, d, n_perturb=100, rng=Rng(1), loss="squared",
+                                       retrain_steps=20, lr=2e-2),
+    ):
+        raw, on_heads = certify(model, envs), certify(heads, projected)
+        assert len(raw.entries) == len(envs)
+        assert raw.entries == on_heads.entries

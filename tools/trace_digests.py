@@ -11,7 +11,11 @@ outputs to OUT_DIR. It then prints `sha256  name` for every trace CSV,
 it records the wall time. Last it runs `eirm theory nash` and `eirm theory
 invariance` at their default settings on SEM seeds 0-3 and prints every
 `key=value` line of their reports (floats as `repr`), prefixed with the
-subcommand and seed. The eirm it runs is the one in `src/` of the checkout
+subcommand and seed, and then `sha256  sem_seed{S}_clf{E}` for the trained
+parameters of each classifier that `train_sem_game` returns on those seeds
+(the bytes of every float64 parameter, in `parameters()` order), so the
+trained heads are checked directly and not only through the report floats.
+The eirm it runs is the one in `src/` of the checkout
 this file sits in, so the output of two checkouts that train, trace and
 certify alike is identical, and comparing them is one `diff`.
 """
@@ -29,6 +33,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from eirm import cli  # noqa: E402
+from eirm.sem_game import train_sem_game  # noqa: E402
 
 SEEDS = 3
 MAX_ITERS = 30
@@ -63,6 +68,19 @@ def certificates(out: str) -> list:
     return lines
 
 
+def sem_parameters() -> list:
+    """The digest of each trained SEM classifier's parameters, per SEM seed."""
+    lines = []
+    for seed in range(SEM_SEEDS):
+        model, _, _ = train_sem_game(seed=seed)
+        for e, clf in enumerate(model.classifiers):
+            h = hashlib.sha256()
+            for p in clf.parameters():
+                h.update(p.tobytes())
+            lines.append(f"{h.hexdigest()}  sem_seed{seed}_clf{e}")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/trace_digests.py OUT_DIR", file=sys.stderr)
@@ -72,6 +90,7 @@ def main(argv) -> int:
         with open(os.path.join(out, name), "rb") as f:
             print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
     print("\n".join(certificates(out)))
+    print("\n".join(sem_parameters()))
     return 0
 
 
