@@ -239,24 +239,43 @@ def _train_method(method, bench, cfg: ExperimentConfig, seed: int):
             GAME_MODES[method], test_env=bench.test_env,
         )
         return [(method, model, trace, bench.test_env)]
-    runs = {  # (row label, training envs, test split) per trained model
-        "ERM": [(method, bench.train_envs, bench.test_env)],
-        "ERM_PER_ENV": [
-            (f"ERM_ENV{e}", [env], bench.test_env)
-            for e, env in enumerate(bench.train_envs)
-        ],
-        "ROBUST": [(method, bench.train_envs, bench.test_env)],
-        "ORACLE": [(method, [bench.oracle_env], bench.oracle_test)],
-    }
-    if method not in runs:
+    # (row label, training envs, test split) per trained model; the oracle
+    # splits are derived on first read, so only ORACLE reads them
+    if method in ("ERM", "ROBUST"):
+        runs = [(method, bench.train_envs, bench.test_env)]
+    elif method == "ERM_PER_ENV":
+        runs = [(f"ERM_ENV{e}", [env], bench.test_env) for e, env in enumerate(bench.train_envs)]
+    elif method == "ORACLE":
+        runs = [(method, [bench.oracle_env], bench.oracle_test)]
+    else:
         raise ConfigError(f"methods: unknown method {method!r}")
     train = train_robust_minmax if method == "ROBUST" else train_erm
     base_cfg = baseline_config(cfg, seed)
     rows = []
-    for label, envs, test in runs[method]:
+    for label, envs, test in runs:
         mlp, trace = train(envs, base_cfg, test_env=test)
         rows.append((label, as_ensemble(mlp), trace, test))
     return rows
+
+
+def _run_seed(cfg: ExperimentConfig, seed: int, out: str, results: dict) -> None:
+    """Trains every configured method on seed's benchmark; appends to results."""
+    bench = make_benchmark(
+        cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
+        height=cfg.height, width=cfg.width,
+    )
+    for method in cfg.methods:
+        for label, model, trace, test in _train_method(method, bench, cfg, seed):
+            trace.to_csv(os.path.join(out, f"trace_{label}_seed{seed}.csv"))
+            # every trainer records a row, on its pooled training rows,
+            # for the state it returns; that row holds the test accuracy
+            # when its step is a multiple of test_every
+            last = trace.records[-1]
+            train_acc = last.ens_train_acc
+            test_acc = last.test_acc
+            if test_acc is None:
+                test_acc = evaluate(model, test)["accuracy"]
+            results.setdefault(label, []).append((train_acc, test_acc))
 
 
 def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) -> dict:
@@ -267,27 +286,15 @@ def run_experiment(cfg: ExperimentConfig, seed_offset: int = 0, out_dir=None) ->
     seeds = [cfg.seed + seed_offset + i for i in range(cfg.n_seeds)]
     for seed in seeds:
         try:
-            bench = make_benchmark(
-                cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
-                height=cfg.height, width=cfg.width,
-            )
+            _run_seed(cfg, seed, out, results)
         except MemoryError as exc:
+            t = cfg.train
             raise ConfigError(
-                f"sizes/height/width: the benchmark {cfg.benchmark} with sizes {list(cfg.sizes)} "
-                f"on a {cfg.height}x{cfg.width} canvas does not fit in memory ({exc})"
+                f"sizes/height/width/train: {cfg.benchmark} with sizes {list(cfg.sizes)} on a "
+                f"{cfg.height}x{cfg.width} canvas, hidden_dims {list(t.hidden_dims)}, "
+                f"phi_hidden_dims {list(t.phi_hidden_dims)} and repr_dim {t.repr_dim} "
+                f"does not fit in memory ({exc})"
             ) from exc
-        for method in cfg.methods:
-            for label, model, trace, test in _train_method(method, bench, cfg, seed):
-                trace.to_csv(os.path.join(out, f"trace_{label}_seed{seed}.csv"))
-                # every trainer records a row, on its pooled training rows,
-                # for the state it returns; that row holds the test accuracy
-                # when its step is a multiple of test_every
-                last = trace.records[-1]
-                train_acc = last.ens_train_acc
-                test_acc = last.test_acc
-                if test_acc is None:
-                    test_acc = evaluate(model, test)["accuracy"]
-                results.setdefault(label, []).append((train_acc, test_acc))
     _write_table(results, out)
     manifest = {
         "config": dataclasses.asdict(cfg),

@@ -14,6 +14,7 @@ rows at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,19 +61,40 @@ class EnvironmentDataset:
 
 @dataclass
 class Benchmark:
-    """Training environments plus held-out test and grayscale-oracle splits.
+    """Training environments and a held-out test split; grayscale oracle splits on use.
 
-    oracle_test is the grayscale variant of the test rows, used to score
-    the oracle baseline.
+    oracle_env pools the training rows in environment order and oracle_test
+    holds the test rows, both in grayscale, to train and score the oracle
+    baseline. Each is derived from the COLOR features on its first read and
+    then kept: red and green hold each source image once, and the other of
+    the two is zero, so their bitwise or is the image.
     """
 
     train_envs: list
     test_env: EnvironmentDataset
-    oracle_env: EnvironmentDataset
-    oracle_test: EnvironmentDataset
+
+    @functools.cached_property
+    def oracle_env(self) -> EnvironmentDataset:
+        return _grayscale(self.train_envs, "oracle")
+
+    @functools.cached_property
+    def oracle_test(self) -> EnvironmentDataset:
+        return _grayscale([self.test_env], "oracle_test")
 
 
-_SHAPE_CHUNK = 2048  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
+def _grayscale(envs, env_id: str) -> EnvironmentDataset:
+    """The source images of COLOR environments, rows in order, with their labels and bits."""
+    images = np.vstack([e.features[:, 0::3] | e.features[:, 1::3] for e in envs])
+    return EnvironmentDataset(
+        images,
+        np.concatenate([e.labels for e in envs]),
+        np.concatenate([e.spurious_bits for e in envs]),
+        env_id,
+        float("nan"),
+    )
+
+
+_SHAPE_CHUNK = 512  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
 
 
 def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
@@ -81,8 +103,9 @@ def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
     Shapes have random center and scale but always fit inside the canvas
     and cover at least 16 pixels. Each shape's radius and center take the
     next three doubles of the geometry stream, so the shapes are those of
-    drawing r, cy and cx shape by shape with `uniform`, bit for bit. The
-    masks are built by broadcasting, _SHAPE_CHUNK shapes at a time.
+    drawing r, cy and cx shape by shape with `uniform`, bit for bit. Each
+    shape gets only its own label's mask, built by broadcasting over
+    _SHAPE_CHUNK shapes of that label at a time.
     """
     if height < 16 or width < 16:
         raise ValueError("canvas must be at least 16x16")
@@ -97,12 +120,15 @@ def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
     cx = r + (width - 1 - r - r) * u[:, 2]
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
-    for lo in range(0, n, _SHAPE_CHUNK):
-        at = slice(lo, lo + _SHAPE_CHUNK)
-        rr, dy, dx = r[at, None, None], ys - cy[at, None, None], xs - cx[at, None, None]
-        circles = dy**2 + dx**2 <= rr * rr
-        squares = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
-        images[at] = np.where(labels[at, None, None] == 0, circles, squares)
+    for label in (0, 1):
+        rows = np.flatnonzero(labels == label)
+        for lo in range(0, len(rows), _SHAPE_CHUNK):
+            at = rows[lo : lo + _SHAPE_CHUNK]
+            rr, dy, dx = r[at, None, None], ys - cy[at, None, None], xs - cx[at, None, None]
+            if label == 0:
+                images[at] = dy**2 + dx**2 <= rr * rr
+            else:
+                images[at] = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
     return LabeledImages(images.reshape(n, height * width), labels, height, width)
 
 
@@ -147,7 +173,7 @@ def make_benchmark(
     height: int = 16,
     width: int = 16,
 ) -> Benchmark:
-    """Build train/test/oracle environments from disjoint source rows.
+    """Build train and test environments from disjoint source rows.
 
     sizes lists one count per environment; the last entry is the test
     environment (flip_probs likewise, default (0.2, 0.1, 0.9)). name must
@@ -164,32 +190,16 @@ def make_benchmark(
     rng = Rng(seed)
     src = synth_shapes(total, height, width, rng.child("shapes"))
     perm = rng.child("split").permutation(total)
-
+    # each environment's source rows are dropped once colored, so no image
+    # is held more than twice: colored, and as a source row until then
+    subs = [src.take(rows) for rows in np.split(perm, np.cumsum(sizes)[:-1])]
+    del src, perm
     envs = []
-    offset = 0
-    for i, (size, p_e) in enumerate(zip(sizes, flip_probs)):
-        rows = perm[offset : offset + size]
-        offset += size
+    for i, p_e in enumerate(flip_probs):
         env_id = "test" if i == len(sizes) - 1 else f"env{i}"
-        sub = src.take(rows)
-        envs.append(
-            (make_spurious_env(sub, p_e, "COLOR", rng.child(env_id), env_id), sub)
-        )
-
-    train = [e for e, _ in envs[:-1]]
-    test_env, test_src = envs[-1]
-    oracle_env = EnvironmentDataset(
-        np.vstack([s.images for _, s in envs[:-1]]),
-        np.concatenate([e.labels for e, _ in envs[:-1]]),
-        np.concatenate([e.spurious_bits for e, _ in envs[:-1]]),
-        "oracle",
-        float("nan"),
-    )
-    oracle_test = EnvironmentDataset(
-        test_src.images, test_env.labels, test_env.spurious_bits, "oracle_test",
-        float("nan"),
-    )
-    return Benchmark(train, test_env, oracle_env, oracle_test)
+        envs.append(make_spurious_env(subs[i], p_e, "COLOR", rng.child(env_id), env_id))
+        subs[i] = None
+    return Benchmark(envs[:-1], envs[-1])
 
 
 @dataclass

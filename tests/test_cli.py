@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eirm import cli
+from eirm import cli, datasets
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.cli import METHODS, ConfigError, load_config, main
 from eirm.datasets import make_benchmark
@@ -234,6 +234,32 @@ def test_config_error_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(raw))
         assert main(["run", str(path)]) == 2, field
         assert field in capsys.readouterr().err, field
+
+
+def test_running_out_of_memory_in_training_exits_2(tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB")
+
+    monkeypatch.setattr(cli, "train_erm", out_of_memory)
+    path = _write_config(tmp_path, methods=["ERM"], height=20, width=18, out_dir=str(tmp_path / "out"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for named in ("sizes [120, 120, 120]", "20x18 canvas", "hidden_dims [8, 8]",
+                  "phi_hidden_dims [8]", "repr_dim 8", "512. GiB"):
+        assert named in err, named
+
+
+def test_only_oracle_derives_the_oracle_splits(tmp_path, monkeypatch):
+    def underived(envs, env_id):
+        raise AssertionError(f"{env_id} derived")
+
+    monkeypatch.setattr(datasets, "_grayscale", underived)
+    path = _write_config(tmp_path, methods=["F_IRM", "V_IRM", "ERM", "ROBUST"])
+    assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
+    path = _write_config(tmp_path, methods=["ORACLE"])
+    with pytest.raises(AssertionError, match="oracle derived"):
+        main(["run", str(path), "--out", str(tmp_path / "b")])
 
 
 _JSON_VALUES = st.recursive(

@@ -44,10 +44,13 @@ def _shapes_one_by_one(n, height, width, rng):
 
 @pytest.mark.parametrize("height,width", [(16, 16), (20, 17), (28, 28)])
 def test_synth_shapes_equal_the_per_shape_loop(height, width):
-    n = datasets._SHAPE_CHUNK + 37  # a full chunk and a ragged one
+    chunk = datasets._SHAPE_CHUNK
+    n = 3 * chunk  # each label's masks: a full chunk and a ragged one
     for seed in (0, 3, 11):
         src = synth_shapes(n, height, width, Rng(seed))
         images, labels = _shapes_one_by_one(n, height, width, Rng(seed))
+        for label in (0, 1):
+            assert chunk < np.count_nonzero(labels == label) < 2 * chunk, (seed, label)
         assert src.images.dtype == np.uint8
         assert np.array_equal(src.images, images)
         assert src.prelim_labels.tobytes() == labels.tobytes()
@@ -118,6 +121,51 @@ def test_make_benchmark_shapes_and_disjointness():
     npt.assert_array_equal(
         oracle.labels, np.concatenate([train[0].labels, train[1].labels])
     )
+
+
+@pytest.mark.parametrize("height,width", [(16, 16), (20, 18)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_oracle_splits_equal_the_source_rows(seed, height, width):
+    sizes = (150, 120, 90)
+    bench = make_benchmark("COLORED_SHAPES", sizes, seed, height=height, width=width)
+    # the oracle as it was built when the benchmark held it: the source
+    # images in split order, with the colored environments' labels and bits
+    rng = Rng(seed)
+    src = synth_shapes(sum(sizes), height, width, rng.child("shapes"))
+    rows = np.split(rng.child("split").permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    envs = [
+        make_spurious_env(src.take(r), p_e, "COLOR", rng.child(env_id), env_id)
+        for r, p_e, env_id in zip(rows, DEFAULT_FLIP_PROBS, ("env0", "env1", "test"))
+    ]
+    expected = {
+        "oracle_env": (np.vstack([src.images[r] for r in rows[:-1]]), envs[:-1]),
+        "oracle_test": (src.images[rows[-1]], envs[-1:]),
+    }
+    for name, (images, colored) in expected.items():
+        split = getattr(bench, name)
+        assert split.env_id == ("oracle" if name == "oracle_env" else name)
+        assert split.features.dtype == np.uint8
+        assert split.features.shape == images.shape
+        assert split.features.tobytes() == images.tobytes(), name
+        assert split.labels.tobytes() == np.concatenate([e.labels for e in colored]).tobytes()
+        assert split.spurious_bits.tobytes() == (
+            np.concatenate([e.spurious_bits for e in colored]).tobytes()
+        )
+        assert getattr(bench, name) is split  # derived once, then kept
+
+
+def test_make_benchmark_holds_each_image_at_most_twice(peak_bytes):
+    sizes = (2000, 2000, 2000)
+    make_benchmark("COLORED_SHAPES", (10, 10, 10), 0)  # so one-time imports are not counted
+    benches = []
+    peak = peak_bytes(lambda: benches.append(make_benchmark("COLORED_SHAPES", sizes, 0)))
+    b = benches[0]
+    colored = sum(env.features.nbytes for env in (*b.train_envs, b.test_env))
+    source = sum(sizes) * 16 * 16  # one uint8 copy of every image
+    # every image lives in its color channel, and as a source row until it is
+    # colored; a grayscale copy is made only when the oracle is read
+    assert peak < colored + source
+    assert "oracle_env" not in vars(b) and "oracle_test" not in vars(b)
 
 
 def test_make_benchmark_builds_no_float64_copy(peak_bytes):

@@ -15,6 +15,9 @@ subcommand and seed, and then `sha256  sem_seed{S}_clf{E}` for the trained
 parameters of each classifier that `train_sem_game` returns on those seeds
 (the bytes of every float64 parameter, in `parameters()` order), so the
 trained heads are checked directly and not only through the report floats.
+Last it prints `sha256  oracle_seed{S}_{split}` for the grayscale oracle
+splits (`oracle_env`, `oracle_test`) of the desk benchmark of seeds 0-2: the
+bytes of the features, then the labels, then the spurious bits.
 The eirm it runs is the one in `src/` of the checkout
 this file sits in, so the output of two checkouts that train, trace and
 certify alike is identical, and comparing them is one `diff`.
@@ -32,7 +35,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from eirm import cli  # noqa: E402
+from eirm import cli, datasets  # noqa: E402
 from eirm.sem_game import train_sem_game  # noqa: E402
 
 SEEDS = 3
@@ -81,6 +84,24 @@ def sem_parameters() -> list:
     return lines
 
 
+def oracle_splits(out: str) -> list:
+    """The digest of each desk seed's grayscale oracle splits."""
+    cfg = cli.load_config(os.path.join(out, "config.json"), preset="desk")
+    lines = []
+    for seed in range(SEEDS):
+        bench = datasets.make_benchmark(
+            cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
+            height=cfg.height, width=cfg.width,
+        )
+        for name in ("oracle_env", "oracle_test"):
+            split = getattr(bench, name)
+            h = hashlib.sha256()
+            for array in (split.features, split.labels, split.spurious_bits):
+                h.update(array.tobytes())
+            lines.append(f"{h.hexdigest()}  oracle_seed{seed}_{name}")
+    return lines
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/trace_digests.py OUT_DIR", file=sys.stderr)
@@ -91,6 +112,7 @@ def main(argv) -> int:
             print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
     print("\n".join(certificates(out)))
     print("\n".join(sem_parameters()))
+    print("\n".join(oracle_splits(out)))
     return 0
 
 
