@@ -18,6 +18,7 @@ from .nn import (
 from .datasets import (
     BENCHMARKS,
     Benchmark,
+    ColorEnvironment,
     EnvironmentDataset,
     LabeledImages,
     SemSpec,

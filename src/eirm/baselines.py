@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import nn
-from .datasets import EnvironmentDataset
+from .datasets import ColorEnvironment, EnvironmentDataset
 from .game import ROBUST, EnsembleModel, TerminationRule, TrainConfig, best_response_train
 
 
@@ -22,25 +22,25 @@ def as_ensemble(model: nn.Mlp) -> EnsembleModel:
     return EnsembleModel([model])
 
 
-def pool_environments(datasets) -> EnvironmentDataset:
+def pool_environments(datasets):
     """The datasets' rows in order as one dataset; a lone dataset is returned as it is.
 
-    For evaluation on the pooled rows. No trainer calls it: train_erm passes
-    its datasets to the game loop as one pooled player, which never stacks
-    their features into one array.
+    COLOR environments pool into one, their masks stacked. For evaluation on
+    the pooled rows. No trainer calls it: train_erm passes its datasets to
+    the game loop as one pooled player, which never stacks their rows.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
     if len(datasets) == 1:
         return datasets[0]
+    labels = np.concatenate([d.labels for d in datasets])
     bits = [getattr(d, "spurious_bits", None) for d in datasets]
-    return EnvironmentDataset(
-        np.vstack([d.features for d in datasets]),
-        np.concatenate([d.labels for d in datasets]),
-        np.concatenate(bits) if all(b is not None for b in bits) else None,
-        "pooled",
-        float("nan"),
-    )
+    bits = np.concatenate(bits) if all(b is not None for b in bits) else None
+    if all(isinstance(d, ColorEnvironment) for d in datasets):
+        masks = np.vstack([d.masks for d in datasets])
+        return ColorEnvironment(masks, labels, bits, "pooled", float("nan"))
+    features = np.vstack([d.features for d in datasets])
+    return EnvironmentDataset(features, labels, bits, "pooled", float("nan"))
 
 
 def train_erm(datasets, config: TrainConfig, test_env=None):

@@ -7,9 +7,9 @@ flipping the final label with a per-environment probability p_e. The
 spurious bit picks the image's color (red vs green channel). The test
 environment reverses the correlation (p_e = 0.9 by default).
 
-Every source image is uint8 0/1 from generation on (one byte where float64
-takes eight). The networks widen pixels to float64 a batch or a block of
-rows at a time.
+Every source image is uint8 0/1 from generation on, held once with its
+colour bit; dense H*W*3 rows are built only where read. The networks widen
+pixels to float64 a batch or a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ class LabeledImages:
             raise ValueError("preliminary labels must be binary")
 
     def take(self, idx: np.ndarray) -> "LabeledImages":
-        return LabeledImages(
-            self.images[idx], self.prelim_labels[idx], self.height, self.width
-        )
+        return LabeledImages(self.images[idx], self.prelim_labels[idx], self.height, self.width)
 
 
 @dataclass
@@ -60,18 +58,52 @@ class EnvironmentDataset:
 
 
 @dataclass
+class ColorEnvironment:
+    """A COLOR environment as held: each row's source image and its colour bit.
+
+    A row's dense H*W*3 features hold its image in the red channel (0) when
+    its bit is 1, in the green channel (1) when it is 0, zero elsewhere. Only
+    rows read are built: indexing builds those rows, as indexing the dense
+    array (whose shape and dtype these are) would; `features` builds all.
+    """
+
+    masks: np.ndarray  # (n, H*W), uint8 0/1
+    labels: np.ndarray  # (n,), int
+    spurious_bits: np.ndarray  # (n,), 1 red, 0 green
+    env_id: str
+    flip_prob: float
+
+    @property
+    def shape(self) -> tuple:
+        return (self.masks.shape[0], 3 * self.masks.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.masks.dtype
+
+    @property
+    def features(self) -> np.ndarray:
+        return self[:]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        masks, bits = self.masks[idx], self.spurious_bits[idx]
+        rgb = np.zeros((*masks.shape, 3), masks.dtype)
+        np.multiply(masks, (bits == 1)[:, None], out=rgb[:, :, 0])
+        np.multiply(masks, (bits == 0)[:, None], out=rgb[:, :, 1])
+        return rgb.reshape(masks.shape[0], 3 * masks.shape[1])
+
+
+@dataclass
 class Benchmark:
     """Training environments and a held-out test split; grayscale oracle splits on use.
 
-    oracle_env pools the training rows in environment order and oracle_test
-    holds the test rows, both in grayscale, to train and score the oracle
-    baseline. Each is derived from the COLOR features on its first read and
-    then kept: red and green hold each source image once, and the other of
-    the two is zero, so their bitwise or is the image.
+    oracle_env (the training rows) and oracle_test (the test rows) train and
+    score the oracle baseline: each is the masks stacked in order, built on
+    its first read and then kept.
     """
 
     train_envs: list
-    test_env: EnvironmentDataset
+    test_env: ColorEnvironment
 
     @functools.cached_property
     def oracle_env(self) -> EnvironmentDataset:
@@ -83,10 +115,9 @@ class Benchmark:
 
 
 def _grayscale(envs, env_id: str) -> EnvironmentDataset:
-    """The source images of COLOR environments, rows in order, with their labels and bits."""
-    images = np.vstack([e.features[:, 0::3] | e.features[:, 1::3] for e in envs])
+    """The masks of COLOR environments stacked in order, with their labels and bits."""
     return EnvironmentDataset(
-        images,
+        np.vstack([e.masks for e in envs]),
         np.concatenate([e.labels for e in envs]),
         np.concatenate([e.spurious_bits for e in envs]),
         env_id,
@@ -94,7 +125,7 @@ def _grayscale(envs, env_id: str) -> EnvironmentDataset:
     )
 
 
-_SHAPE_CHUNK = 512  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
+_SHAPE_CHUNK = 256  # shapes masked per broadcast, so a chunk's float64 temporaries stay small
 
 
 def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
@@ -107,17 +138,22 @@ def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
     shape gets only its own label's mask, built by broadcasting over
     _SHAPE_CHUNK shapes of that label at a time.
     """
+    return _shapes(n, height, width, rng, slice(None))
+
+
+def _shapes(n: int, height: int, width: int, rng: Rng, order) -> LabeledImages:
+    """synth_shapes' n shapes with shape order[i] as row i, each image built in its row."""
     if height < 16 or width < 16:
         raise ValueError("canvas must be at least 16x16")
-    images = np.zeros((n, height, width), dtype=np.uint8)
-    labels = rng.child("class").integers(0, 2, size=n).astype(np.int64)
-    u = rng.child("geometry").random((n, 3))
+    labels = rng.child("class").integers(0, 2, size=n).astype(np.int64)[order]
+    u = rng.child("geometry").random((n, 3))[order]
     min_r = 2.5  # circle of this radius fills >= 16 pixels
     max_r = (min(height, width) - 1) / 2.0 - 1.0
     # uniform(lo, hi) is lo + (hi - lo) * u, with hi - lo rounded first
     r = min_r + (max_r - min_r) * u[:, 0]
     cy = r + (height - 1 - r - r) * u[:, 1]
     cx = r + (width - 1 - r - r) * u[:, 2]
+    images = np.zeros((n, height, width), dtype=np.uint8)
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
     for label in (0, 1):
@@ -138,13 +174,12 @@ def make_spurious_env(
     mode: str,
     rng: Rng,
     env_id: str = "env",
-) -> EnvironmentDataset:
+) -> ColorEnvironment:
     """Attach label noise and a spurious color channel to a grayscale source.
 
-    Row order is preserved, so callers can align outputs with the source,
-    and the features keep the source images' dtype. The features are H*W*3
-    wide, with the grayscale in the red channel when z=1 and the green
-    channel when z=0. mode must be "COLOR", the only spurious channel; the
+    Row order is preserved, and the environment holds the source images
+    themselves as its masks, with each row's colour bit z (red when z=1,
+    green when z=0). mode must be "COLOR", the only spurious channel; the
     argument stays because callers, acceptance criterion 8 among them, pass it.
     """
     if mode != "COLOR":
@@ -152,16 +187,9 @@ def make_spurious_env(
     if not 0.0 <= p_e <= 1.0:
         raise ValueError("p_e must be a probability")
     n = src.images.shape[0]
-    h, w = src.height, src.width
     y = src.prelim_labels ^ (rng.child("label_noise").random(n) < LABEL_NOISE)
     z = y ^ (rng.child("spurious").random(n) < p_e)
-    y = y.astype(np.int64)
-    z = z.astype(np.int64)
-
-    rgb = np.zeros((n, h * w, 3), dtype=src.images.dtype)
-    rgb[z == 1, :, 0] = src.images[z == 1]
-    rgb[z == 0, :, 1] = src.images[z == 0]
-    return EnvironmentDataset(rgb.reshape(n, h * w * 3), y, z, env_id, float(p_e))
+    return ColorEnvironment(src.images, y.astype(np.int64), z.astype(np.int64), env_id, float(p_e))
 
 
 def make_benchmark(
@@ -188,17 +216,15 @@ def make_benchmark(
         raise ValueError("sizes and flip_probs must have equal length")
     total = int(sum(sizes))
     rng = Rng(seed)
-    src = synth_shapes(total, height, width, rng.child("shapes"))
-    perm = rng.child("split").permutation(total)
-    # each environment's source rows are dropped once colored, so no image
-    # is held more than twice: colored, and as a source row until then
-    subs = [src.take(rows) for rows in np.split(perm, np.cumsum(sizes)[:-1])]
-    del src, perm
+    # the shapes are built in split order, so each environment's images are
+    # one run of rows of a single array: every image is held once, uncopied
+    src = _shapes(total, height, width, rng.child("shapes"), rng.child("split").permutation(total))
+    bounds = np.cumsum([0, *sizes])
     envs = []
     for i, p_e in enumerate(flip_probs):
         env_id = "test" if i == len(sizes) - 1 else f"env{i}"
-        envs.append(make_spurious_env(subs[i], p_e, "COLOR", rng.child(env_id), env_id))
-        subs[i] = None
+        part = src.take(slice(bounds[i], bounds[i + 1]))
+        envs.append(make_spurious_env(part, p_e, "COLOR", rng.child(env_id), env_id))
     return Benchmark(envs[:-1], envs[-1])
 
 

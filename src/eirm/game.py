@@ -257,12 +257,17 @@ def _joined(arrays) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
+def _source(dataset):
+    """A dataset's rows, indexed like an array: a COLOR environment builds only those indexed."""
+    return dataset if hasattr(dataset, "masks") else dataset.features
+
+
 def _take(features, bounds, idx: np.ndarray) -> np.ndarray:
-    """Rows idx of the arrays end to end, in their dtype; bounds holds their row offsets."""
+    """Rows idx of the sources end to end, in their dtype; bounds holds their row offsets."""
     if len(features) == 1:
         return features[0][idx]
     part = np.searchsorted(bounds, idx, side="right") - 1
-    rows = np.empty((idx.size, features[0].shape[1]), np.result_type(*features))
+    rows = np.empty((idx.size, features[0].shape[1]), np.result_type(*(x.dtype for x in features)))
     for k, x in enumerate(features):
         at = np.flatnonzero(part == k)
         rows[at] = x[idx[at] - bounds[k]]
@@ -279,20 +284,26 @@ def _blocks(features, idx: np.ndarray):
         yield at, _take(features, bounds, idx[at : at + _BLOCK_ROWS])
 
 
-def _row_keys(x: np.ndarray) -> np.ndarray:
+def _row_keys(x) -> np.ndarray:
     """One number per row, the same for equal rows: the product with a fixed probe.
 
     The probe holds integers below 2**40, so on integer-valued features (the
     binary COLORED_SHAPES pixels) every sum is exact and equal rows get equal
     keys whatever order BLAS adds in. Distinct rows may share a key; the
     caller checks the grouping exactly. Rows are widened to float64
-    _BLOCK_ROWS at a time.
+    _BLOCK_ROWS at a time; a COLOR environment's from their masks, each by
+    its colour's channel of the probe, the same exact sum as its dense row's.
     """
     probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1]).astype(np.float64)
+    rows = getattr(x, "masks", x)
+    if rows is not x:  # one column per colour bit: 0 green (channel 1), 1 red (channel 0)
+        probe = np.stack([probe[1::3], probe[0::3]], axis=1)
     keys = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], _BLOCK_ROWS):
-        block = x[lo : lo + _BLOCK_ROWS]
-        keys[lo : lo + block.shape[0]] = block.astype(np.float64, copy=False) @ probe
+        block = rows[lo : lo + _BLOCK_ROWS].astype(np.float64, copy=False) @ probe
+        if rows is not x:
+            block = np.take_along_axis(block, x.spurious_bits[lo : lo + block.shape[0], None], 1)[:, 0]
+        keys[lo : lo + block.shape[0]] = block
     return keys
 
 
@@ -321,57 +332,31 @@ def _distinct_rows(features):
     return every, every
 
 
-def _column_groups(features):
-    """(group of each row, columns of each group): the lit columns split where no row links them.
+def _groups(features, keep: np.ndarray):
+    """(group of each row in keep, per group its columns, the arrays its slab reads and their cut).
 
-    Two columns are linked when some row lights both; a group is a connected
-    component of that graph, with its columns ascending, and the groups are
-    ordered by their first column. A row belongs to the group of its lit
-    columns, a row with none to group 0. Each row links its lit columns to its
-    first lit column (its lead), so the graph is read from one bit mask per
-    lead, the OR of that lead's rows, built _BLOCK_ROWS rows at a time. The
-    masks take width**2 / 8 bytes; the label propagation runs on their set bits.
+    COLOR rows group by their declared colour: a red row (bit 1) lights only
+    channel 0 of its pixels, a green row channel 1, so a colour's columns are
+    3 * pixel + channel for the pixels its rows light, its slab read from the
+    masks cut to those pixels; the lower first lit pixel goes first, red on a
+    tie. Other rows are one group on the columns they light (None: all).
     """
-    width = features[0].shape[1]
-    links = np.zeros((width + 1, (width + 7) // 8), np.uint8)  # last row: no lit column
-    lead = np.empty(sum(x.shape[0] for x in features), np.int64)
-    for x, offset in zip(features, np.cumsum([0] + [x.shape[0] for x in features])):
-        for lo in range(0, x.shape[0], _BLOCK_ROWS):
-            lit = x[lo : lo + _BLOCK_ROWS] != 0
-            first = np.where(lit.any(axis=1), lit.argmax(axis=1), width)
-            lead[offset + lo : offset + lo + first.size] = first
-            order = np.argsort(first, kind="stable")
-            starts = np.flatnonzero(np.diff(first[order], prepend=-1))
-            packed = np.packbits(lit, axis=1)[order]
-            links[first[order][starts]] |= np.bitwise_or.reduceat(packed, starts, axis=0)
-    # the set bits as (mask, column) pairs, mask by mask
-    masks, columns = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    leads = np.flatnonzero(links[:width].any(axis=1))
-    for lo in range(0, leads.size, _BLOCK_ROWS):
-        mask, column = np.nonzero(np.unpackbits(links[leads[lo : lo + _BLOCK_ROWS]], axis=1, count=width))
-        masks.append(mask + lo)
-        columns.append(column)
-    mask, column = np.concatenate(masks), np.concatenate(columns)
-    by_mask = np.flatnonzero(np.diff(mask, prepend=-1))
-    column_order = np.argsort(column, kind="stable")
-    by_column = np.flatnonzero(np.diff(column[column_order], prepend=-1))
-    used = column[column_order][by_column]  # the lit columns, ascending
-    # minimum-label propagation: each mask takes the least label of its
-    # columns, each column the least of its masks', then every label points to
-    # its own label, until none moves
-    label = np.arange(width)
-    while True:
-        least = np.minimum.reduceat(label[column], by_mask)
-        moved = label.copy()
-        moved[used] = np.minimum.reduceat(least[mask][column_order], by_column)
-        moved = moved[moved]
-        if np.array_equal(moved, label):
-            break
-        label = moved
-    roots, group = np.unique(label[used], return_inverse=True)
-    lookup = np.zeros(width + 1, np.int64)  # a lead's group; width, no lit column, is group 0
-    lookup[used] = group
-    return lookup[lead], [used[group == g] for g in range(max(1, roots.size))]
+    if not all(hasattr(x, "masks") for x in features):
+        lit = np.zeros(features[0].shape[1], bool)
+        for _, block in _blocks(features, keep):
+            lit |= (block != 0).any(axis=0)
+        columns = None if lit.all() else np.flatnonzero(lit)
+        return np.zeros(keep.size, np.intp), [(columns, features, columns)]
+    masks = [x.masks for x in features]
+    colour = (_joined([x.spurious_bits for x in features])[keep] == 0).astype(np.intp)  # 0 red, 1 green
+    lit = np.zeros((2, masks[0].shape[1]), bool)
+    for at, block in _blocks(masks, keep):
+        rows = colour[at : at + block.shape[0]]
+        lit |= [block[rows == c].any(axis=0) for c in (0, 1)]
+    pixels = [np.flatnonzero(on) for on in lit]
+    present = sorted(np.unique(colour), key=lambda c: pixels[c][0] if pixels[c].size else math.inf)
+    group = colour if present[0] == 0 else 1 - colour
+    return group, [(3 * pixels[c] + c, masks, pixels[c]) for c in present]
 
 
 @dataclass
@@ -391,43 +376,38 @@ class Slabs:
 
 
 def _slab(features, idx: np.ndarray, columns) -> np.ndarray:
-    """Rows idx (ascending) of the arrays end to end, cut to columns, in their dtype."""
+    """Rows idx (ascending) of the sources end to end, cut to columns, in their dtype."""
     width = features[0].shape[1] if columns is None else columns.size
-    slab = np.empty((idx.size, width), np.result_type(*features))
+    slab = np.empty((idx.size, width), np.result_type(*(x.dtype for x in features)))
     for at, rows in _blocks(features, idx):
         slab[at : at + rows.shape[0]] = rows if columns is None else rows[:, columns]
     return slab
 
 
 def _distinct_pool(features, n: int):
-    """Feature arrays end to end, each distinct row once, as per-group slabs.
+    """Row sources end to end, each distinct row once, as per-group slabs.
 
-    Returns (train, tail, rows). train holds the distinct rows of the first n
-    rows, tail (None when there are no more rows) the distinct later rows that
-    equal no earlier one; each is ordered group by group (_column_groups) and,
-    within a group, by first occurrence. rows gives the position of each row
-    in train's rows followed by tail's, or is None when that is every row in
-    order. Each slab keeps only the columns its group lights, so a row equals
-    its slab row on those columns and is zero on every other. The slabs are in
-    the arrays' dtype (uint8 for COLORED_SHAPES) and are filled from them block
-    by block, so no full-width or widened copy of them is ever built.
+    Returns (train, tail, rows): the distinct rows of the first n rows, then
+    (None if there are none) the later rows equal to no earlier one, group by
+    group (_groups), in first-occurrence order, each slab cut to its group's
+    columns and filled block by block in the sources' dtype. rows maps each
+    row to its place in train then tail, or is None when that is every row.
     """
     keep, rows = _distinct_rows(features)
-    group, columns = _column_groups(features)
-    if len(columns) == 1 and columns[0].size == features[0].shape[1]:
-        columns = [None]
+    group, groups = _groups(features, keep)
+    columns = [c for c, _, _ in groups]
     # one segment per (part, group), training part first; keep ascends, so a
     # stable sort leaves first occurrences in order within each segment
-    segment = group[keep] + len(columns) * (keep >= n)
+    segment = group + len(groups) * (keep >= n)
     order = np.argsort(segment, kind="stable")
-    bounds = np.cumsum([0, *np.bincount(segment, minlength=2 * len(columns))])
+    bounds = np.cumsum([0, *np.bincount(segment, minlength=2 * len(groups))])
     at = np.empty_like(order)
     at[order] = np.arange(order.size)
     keep = keep[order]
-    slabs = [_slab(features, keep[lo:hi], columns[k % len(columns)])
-             for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
-    train = Slabs(slabs[: len(columns)], columns)
-    tail = Slabs(slabs[len(columns) :], columns) if n < rows.size else None
+    slabs = [_slab(arrays, keep[lo:hi], cut)
+             for (lo, hi), (_, arrays, cut) in zip(zip(bounds[:-1], bounds[1:]), groups * 2)]
+    train = Slabs(slabs[: len(groups)], columns)
+    tail = Slabs(slabs[len(groups) :], columns) if n < rows.size else None
     in_order = keep.size == rows.size and np.all(order[1:] > order[:-1])
     return train, tail, None if in_order else at[rows]
 
@@ -450,10 +430,10 @@ def _parts(player) -> list:
 
 
 def _player_data(envs, loss: Loss) -> list:
-    """Each player's (features, targets): its features an array or, for a pooled
-    player, the list of its datasets' arrays; its targets one array."""
+    """Each player's (features, targets): its features one row source (_source) or,
+    for a pooled player, the list of its datasets' sources; its targets one array."""
     return [
-        ([d.features for d in parts] if len(parts) > 1 else parts[0].features,
+        ([_source(d) for d in parts] if len(parts) > 1 else _source(parts[0]),
          _joined([loss.targets(d) for d in parts]))
         for parts in map(_parts, envs)
     ]
@@ -462,31 +442,18 @@ def _player_data(envs, loss: Loss) -> list:
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
-    Built once per call: it pools the players' features, targets and spurious
-    bits and keeps each player's row slice of the pool. A player is one
-    dataset or a list of datasets whose rows are pooled in order (ERM's).
-    Every player's features go into one pool with the test split after them,
-    and the pool holds each distinct row once: first the training rows
-    (`features`), then the test rows that equal no training row (`tail`).
-    Both are Slabs: the feature columns are split into groups that no row
-    links (red and green for COLORED_SHAPES, whose every row lights one
-    colour; one group for SEM and ORACLE), and each group's rows are kept cut
-    to the columns that group lights, so the network fed a slab runs with the
-    matching rows of its first layer's weights and no product with a column
-    known to be zero is taken. The slabs stay in the features' own dtype:
-    COLORED_SHAPES' stay uint8, and nn.predict widens them to float64 one
-    block of rows at a time. `rows` gives the pool row of each pooled
-    training row and `test_rows` that of each test row; every network's
-    output is gathered back through them before the row's figures are taken
-    (None when the rows are in order).
-    Each network's output on `features` is kept with a copy of its parameters
-    and the input it ran on, and a row reruns only the networks whose
-    parameters or input changed since the previous row: after one player's
-    turn, that player's network and the classifiers fed by a new
-    representation output. A test step runs every network on `tail` alone.
-    The `nn.predict` passes run from these methods, not from a public game
-    function, so profilers see them as direct children of the training call.
-    `data` holds each player's (features, targets), as `_player_data` builds them.
+    Built once per call, it pools every player's rows (a player is one
+    dataset, or ERM's list of datasets pooled in order) and then the test
+    split's, each distinct row once (_distinct_pool): training rows as
+    `features`, test rows no training row equals as `tail`, both Slabs that a
+    network runs with the matching rows of its first layer's weights. `rows`
+    and `test_rows` give each pooled training and test row's pool row (None
+    when in order); outputs are gathered back through them. A row reruns only
+    the networks whose parameters or input changed since the previous row; a
+    test step runs every network on `tail` alone. The `nn.predict` passes run
+    from these methods, not from a public game function, so profilers see
+    them as direct children of the training call. `data` holds each player's
+    (features, targets), as `_player_data` builds them.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
@@ -498,8 +465,8 @@ class TraceRecorder:
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
         bounds = np.cumsum([0] + [y.shape[0] for _, y in self.data])
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        features = [d.features for parts in players for d in parts]
-        tests = [] if test_env is None else [test_env.features]
+        features = [_source(d) for parts in players for d in parts]
+        tests = [] if test_env is None else [_source(test_env)]
         n = bounds[-1]
         self.features, self.tail, rows = _distinct_pool(features + tests, n)
         self.rows = self.test_rows = None
@@ -569,8 +536,9 @@ class TraceRecorder:
 class _Batcher:
     """Batches of one player's rows in a shuffled order, reshuffled per epoch.
 
-    x is one array, or a pooled player's list of arrays: its batches are
-    drawn from the arrays directly, bit for bit the rows of their vstack.
+    x is one row source (an array, or a COLOR environment that builds only
+    the rows of each batch), or a pooled player's list of them: its batches
+    are drawn from the sources directly, bit for bit the rows of their vstack.
     """
 
     def __init__(self, x, y: np.ndarray, batch_size: int, rng: Rng):
@@ -688,7 +656,7 @@ def spurious_correlation(model: EnsembleModel, dataset,
 
 
 def build_ensemble(envs, config: TrainConfig, mode: str, rng: Rng) -> EnsembleModel:
-    in_dim = envs[0].features.shape[1]
+    in_dim = _source(envs[0]).shape[1]
     out_dim = Loss(config.loss).output_dim()
     representation = None
     clf_in = in_dim
@@ -733,7 +701,7 @@ def play(envs, config: TrainConfig, mode: str = FIXED_PHI, model: EnsembleModel 
     if not envs:
         raise ValueError("need at least one environment")
     players = [_parts(p) for p in envs]
-    if any(sum(d.features.shape[0] for d in parts) == 0 for parts in players):
+    if any(sum(_source(d).shape[0] for d in parts) == 0 for parts in players):
         raise ValueError("empty environment")
     rng = Rng(config.seed)
     n_classifiers = 1 if mode == ROBUST else len(envs)

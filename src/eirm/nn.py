@@ -120,13 +120,13 @@ def make_mlp(
     return Mlp(layers)
 
 
-def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
+def _activate(pre: np.ndarray, kind: str, out: np.ndarray = None) -> np.ndarray:
     if kind == "linear":
         return pre
     # elu as max(alpha * expm1(min(pre, 0)), pre), no boolean mask: for x < 0,
     # alpha * expm1(x) >= expm1(x) >= x as alpha <= 1; for x >= 0 the first term
     # is 0 <= x; maximum propagates NaN. min(pre, 0) keeps expm1 from overflowing.
-    out = np.minimum(pre, 0.0)
+    out = np.minimum(pre, 0.0, out=out)
     np.expm1(out, out=out)
     if ELU_ALPHA != 1.0:
         out *= ELU_ALPHA
@@ -157,12 +157,15 @@ def _input(net: Mlp, batch: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 2 << 20  # one layer output of a predict block: about 2 MiB
 
 
-def _predict_block(net: Mlp, x: np.ndarray) -> np.ndarray:
+def _predict_block(net: Mlp, x: np.ndarray, work=None) -> np.ndarray:
     x = x.astype(np.float64, copy=False)
+    pre = post = None
     for layer in net.layers:
-        x = x @ layer.weights
+        if work:
+            pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work)
+        x = np.matmul(x, layer.weights, out=pre)
         x += layer.bias
-        x = _activate(x, layer.activation)
+        x = _activate(x, layer.activation, post)
     return x
 
 
@@ -174,17 +177,18 @@ def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     width 64, 672 at width 390. A batch of another dtype (uint8 pixels) is
     widened to float64 one block at a time, so no float64 copy of it is ever
     made, and the blocks are the same as for its float64 copy. Each block's
-    result is written into one preallocated output, and no per-layer array is
-    kept for a backward pass, so at most two layer outputs of one block are
-    alive at once. A batch of one block is run as it is.
+    layer outputs are written into two arrays allocated once per call, and its
+    result into one preallocated output, so memory is not allocated and
+    returned to the system block by block. A batch of one block is run as it is.
     """
     x = _input(net, batch)
     rows = max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
     if x.shape[0] <= rows:
         return _predict_block(net, x)
     out = np.empty((x.shape[0], net.output_dim))
+    work = [np.empty(rows * max(l.out_dim for l in net.layers)) for _ in range(2)]
     for lo in range(0, x.shape[0], rows):
-        out[lo : lo + rows] = _predict_block(net, x[lo : lo + rows])
+        out[lo : lo + rows] = _predict_block(net, x[lo : lo + rows], work)
     return out
 
 

@@ -45,13 +45,14 @@ def test_pool_environments_concatenates_in_order():
 
 
 def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns(unslabbed):
-    # ERM's datasets are one player: its rows are pooled without a vstack, and
-    # its diagnostics pool holds each distinct row once on the lit columns
+    # ERM's datasets are one player: its rows are pooled without a vstack (the
+    # COLOR environments themselves are its parts, so no dense row is built),
+    # and its diagnostics pool holds each distinct row once on the lit columns
     bench = make_benchmark("COLORED_SHAPES", (100, 100, 100), 0)
     envs, test = bench.train_envs, bench.test_env.features
     recorder = TraceRecorder([envs], CROSS_ENTROPY, bench.test_env, 10)
     parts, targets = recorder.data[0]
-    assert [x is env.features for x, env in zip(parts, envs, strict=True)] == [True, True]
+    assert [x is env for x, env in zip(parts, envs, strict=True)] == [True, True]
     full = np.vstack([env.features for env in envs])
     width = full.shape[1]
     assert recorder.features.shape[0] == len(np.unique(full, axis=0)) < full.shape[0]

@@ -262,6 +262,26 @@ def test_only_oracle_derives_the_oracle_splits(tmp_path, monkeypatch):
         main(["run", str(path), "--out", str(tmp_path / "b")])
 
 
+def test_a_run_never_reads_a_colour_environments_dense_features(tmp_path, monkeypatch):
+    # training batches are built from the masks per batch and the trace pool
+    # per colour, so no method builds a COLOR environment's dense rows; every
+    # last trace row carries a test accuracy, so none is evaluated afterwards
+    def dense(env):
+        raise AssertionError(f"dense features of {env.env_id} read")
+
+    monkeypatch.setattr(datasets.ColorEnvironment, "features", property(dense))
+    path = _write_config(tmp_path, methods=["F_IRM", "V_IRM", "ERM", "ROBUST", "ORACLE"])
+    cfg = load_config(path, preset="desk")
+    cfg.sizes, cfg.baseline_iters = (200, 200, 200), 10
+    cfg.train = dataclasses.replace(cfg.train, max_iters=4, test_every=2,
+                                    termination=TerminationRule(enabled=False))
+    results = cli.run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert sorted(results) == sorted(["F_IRM", "V_IRM", "ERM", "ROBUST", "ORACLE"])
+    for method in results:
+        last = (tmp_path / "out" / f"trace_{method}_seed0.csv").read_text().splitlines()[-1]
+        assert last.split(",")[-1] != "", method
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
     | st.floats() | st.text(max_size=6)

@@ -160,12 +160,30 @@ def test_make_benchmark_holds_each_image_at_most_twice(peak_bytes):
     benches = []
     peak = peak_bytes(lambda: benches.append(make_benchmark("COLORED_SHAPES", sizes, 0)))
     b = benches[0]
-    colored = sum(env.features.nbytes for env in (*b.train_envs, b.test_env))
-    source = sum(sizes) * 16 * 16  # one uint8 copy of every image
-    # every image lives in its color channel, and as a source row until it is
-    # colored; a grayscale copy is made only when the oracle is read
-    assert peak < colored + source
+    images = sum(sizes) * 16 * 16  # one uint8 copy of every image
+    # every environment holds its images once, as masks with a colour bit,
+    # and the shapes are built in split order, so no image is ever copied; a
+    # grayscale copy is made only when the oracle is read
+    envs = (*b.train_envs, b.test_env)
+    assert sum(env.masks.nbytes for env in envs) == images
+    base = b.test_env.masks.base  # one array of every image, in split order
+    assert base.nbytes == images and all(env.masks.base is base for env in envs)
+    assert peak < 2 * images
     assert "oracle_env" not in vars(b) and "oracle_test" not in vars(b)
+
+
+def test_reading_features_builds_only_the_dense_rows(peak_bytes):
+    env = make_benchmark("COLORED_SHAPES", (2000, 10, 10), 0).train_envs[0]
+    built = []
+    peak = peak_bytes(lambda: built.append(env.features))
+    features = built[0]
+    assert features.shape == (2000, 768) and features.dtype == np.uint8
+    assert peak < 1.05 * features.nbytes  # 1.46 MiB
+    # the rows of an index are those of the dense array, built alone
+    idx = np.array([5, 0, 1999, 5])
+    assert env[idx].tobytes() == features[idx].tobytes()
+    assert env[10:20].tobytes() == features[10:20].tobytes()
+    assert env[np.arange(0)].shape == (0, 768)
 
 
 def test_make_benchmark_builds_no_float64_copy(peak_bytes):

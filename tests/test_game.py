@@ -7,7 +7,14 @@ import pytest
 
 from eirm import baselines, game, nn, sem_game
 from eirm.core import Rng, ShapeError, softmax_rows
-from eirm.datasets import make_benchmark, make_linear_sem, make_spurious_env, synth_shapes
+from eirm.datasets import (
+    ColorEnvironment,
+    EnvironmentDataset,
+    make_benchmark,
+    make_linear_sem,
+    make_spurious_env,
+    synth_shapes,
+)
 from eirm.game import (
     CROSS_ENTROPY,
     FIXED_PHI,
@@ -740,7 +747,8 @@ def test_byte_features_are_widened_a_block_at_a_time(peak_bytes):
     assert peak < pool_rows * recorder.features.shape[1] * 8  # the pool in float64: 12.5 MiB
     # evaluation at the paper width: the rows are widened one predict block at a time
     pooled = baselines.pool_environments([*envs, test])
-    wide = dataclasses.replace(pooled, features=pooled.features.astype(np.float64))
+    wide = EnvironmentDataset(pooled.features.astype(np.float64), pooled.labels,
+                              pooled.spurious_bits, "wide", float("nan"))
     clf = nn.make_mlp((pooled.features.shape[1], 390, 2), Rng(1))
     model = EnsembleModel([clf, clf.copy()])
     for fn in (evaluate, spurious_correlation):
@@ -748,18 +756,51 @@ def test_byte_features_are_widened_a_block_at_a_time(peak_bytes):
         assert peak_bytes(lambda: fn(model, pooled)) < wide.features.nbytes / 2, fn.__name__
 
 
-def test_column_groups_are_the_components_of_the_lit_columns():
-    # columns 1-5 are linked only through a chain of rows, each row leading with a
-    # column the next row links onward; column 6 is never lit, and a zero row joins group 0
-    x = np.zeros((8, 8), np.uint8)
-    for row, lit in enumerate(([4, 5], [3, 4], [0], [2, 3], [], [1, 2], [7], [0])):
-        x[row, lit] = 1
-    group, columns = game._column_groups([x[:3], x[3:]])
-    assert [c.tolist() for c in columns] == [[0], [1, 2, 3, 4, 5], [7]]
-    npt.assert_array_equal(group, [1, 1, 0, 1, 0, 1, 2, 0])
-    # nothing lit: one group with no columns
-    group, columns = game._column_groups([np.zeros((3, 4))])
-    assert [c.tolist() for c in columns] == [[]] and group.tolist() == [0, 0, 0]
+def test_colour_slabs_follow_the_declared_colour_first_lit_pixel_first(unslabbed):
+    # each row's colour is its declared bit (1 red, 0 green); the colour whose
+    # lowest lit pixel over the training and test rows is lower is the first
+    # slab, red on a tie; the last row of each case is the test row
+    cases = [
+        (([3, 4], [6], [9]), (1, 0, 0), "red"),
+        (([6], [3, 4], [9]), (1, 0, 1), "green"),
+        (([5, 6], [5, 7], [8]), (1, 0, 1), "red"),
+        (([5], [6], [1]), (1, 0, 0), "green"),
+    ]
+    for lit, bits, first in cases:
+        masks = np.zeros((3, 16), np.uint8)
+        for row, pixels in enumerate(lit):
+            masks[row, pixels] = 1
+        bits, y = np.array(bits), np.zeros(3, np.int64)
+        train = ColorEnvironment(masks[:2], y[:2], bits[:2], "train", 0.1)
+        test = ColorEnvironment(masks[2:], y[2:], bits[2:], "test", 0.9)
+        recorder = TraceRecorder([train], CROSS_ENTROPY, test, 1)
+        columns = {
+            "red": [3 * p for p in sorted({p for pixels, b in zip(lit, bits) if b for p in pixels})],
+            "green": [3 * p + 1 for p in sorted({p for pixels, b in zip(lit, bits) if not b for p in pixels})],
+        }
+        order = [first, "green" if first == "red" else "red"]
+        assert [c.tolist() for c in recorder.features.columns] == [columns[c] for c in order], lit
+        assert recorder.tail.columns is recorder.features.columns
+        pool = np.vstack([unslabbed(recorder.features, 48), unslabbed(recorder.tail, 48)])
+        rows = np.arange(3) if recorder.rows is None else np.concatenate(
+            [recorder.rows, recorder.test_rows])
+        npt.assert_array_equal(pool[rows], np.vstack([train.features, test.features]))
+    # a pool of one colour is one slab
+    lone = ColorEnvironment(masks, y, np.ones(3, np.int64), "red", 0.1)
+    assert TraceRecorder([lone], CROSS_ENTROPY, None, 1).features.columns[0].tolist() == [3, 15, 18]
+
+
+def test_recorder_pools_a_large_canvas_in_a_few_times_its_mask_bytes(peak_bytes):
+    # the pool is read from the masks by colour: no dense row of the pool and
+    # no column-by-column structure of the 3 * 48 * 48 dense columns is built
+    bench = make_benchmark("COLORED_SHAPES", (1000, 1000, 1000), 0, height=48, width=48)
+    envs, test = bench.train_envs, bench.test_env
+    TraceRecorder([envs[0]], CROSS_ENTROPY, None, 1)  # so one-time imports are not counted
+    built = []
+    peak = peak_bytes(lambda: built.append(TraceRecorder(envs, CROSS_ENTROPY, test, 1)))
+    masks = sum(env.masks.nbytes for env in (*envs, test))  # 6.6 MiB
+    assert peak < 3 * masks
+    assert [set(c % 3) for c in built[0].features.columns] == [{0}, {1}]
 
 
 def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
@@ -777,6 +818,15 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
         # every pooled row rebuilds from its slab, zero outside the slab's columns
         npt.assert_array_equal(pool[recorder.rows], train)
         npt.assert_array_equal(pool[recorder.test_rows], test.features)
+    # a dense dataset pooled with COLOR ones takes the dense path: one group
+    dense = EnvironmentDataset(train, np.concatenate([env.labels for env in envs]),
+                               np.concatenate([env.spurious_bits for env in envs]), "dense", 0.0)
+    mixed = TraceRecorder([dense], CROSS_ENTROPY, test, 1)
+    assert mixed.features.columns[0].tolist() == np.flatnonzero(np.any(train, axis=0) | np.any(
+        test.features, axis=0)).tolist()
+    pool = np.vstack([unslabbed(mixed.features, width), unslabbed(mixed.tail, width)])
+    npt.assert_array_equal(pool[mixed.rows], train)
+    npt.assert_array_equal(pool[mixed.test_rows], test.features)
     # ORACLE's grayscale rows and SEM's continuous ones are one group each
     oracle = TraceRecorder([bench.oracle_env], CROSS_ENTROPY, bench.oracle_test, 1)
     assert len(oracle.features.blocks) == len(oracle.tail.blocks) == 1

@@ -120,9 +120,9 @@ def test_predict_widens_a_byte_batch_block_by_block(peak_bytes):
 def test_desk_widths_run_as_one_block(monkeypatch):
     blocks = []
 
-    def counted(net, x):
+    def counted(net, x, *work):
         blocks.append(x.shape[0])
-        return run(net, x)
+        return run(net, x, *work)
 
     run = nn._predict_block
     monkeypatch.setattr(nn, "_predict_block", counted)

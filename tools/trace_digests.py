@@ -15,9 +15,14 @@ subcommand and seed, and then `sha256  sem_seed{S}_clf{E}` for the trained
 parameters of each classifier that `train_sem_game` returns on those seeds
 (the bytes of every float64 parameter, in `parameters()` order), so the
 trained heads are checked directly and not only through the report floats.
-Last it prints `sha256  oracle_seed{S}_{split}` for the grayscale oracle
+Then it prints `sha256  oracle_seed{S}_{split}` for the grayscale oracle
 splits (`oracle_env`, `oracle_test`) of the desk benchmark of seeds 0-2: the
-bytes of the features, then the labels, then the spurious bits.
+bytes of the features, then the labels, then the spurious bits. Last it
+prints `sha256  pool_seed{S}_{player}` for the trace recorder's pool of the
+same benchmarks, as the game's players (F-IRM, V-IRM and ROBUST), ERM's
+pooled player and ORACLE's player pool it with their test splits: each
+slab's column list (int64, or `all`) and bytes, training slabs then tail
+slabs, then `rows` and `test_rows` (int64, or `none`).
 The eirm it runs is the one in `src/` of the checkout
 this file sits in, so the output of two checkouts that train, trace and
 certify alike is identical, and comparing them is one `diff`.
@@ -35,7 +40,10 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
+import numpy as np  # noqa: E402
+
 from eirm import cli, datasets  # noqa: E402
+from eirm.game import CROSS_ENTROPY, TraceRecorder  # noqa: E402
 from eirm.sem_game import train_sem_game  # noqa: E402
 
 SEEDS = 3
@@ -84,21 +92,48 @@ def sem_parameters() -> list:
     return lines
 
 
-def oracle_splits(out: str) -> list:
-    """The digest of each desk seed's grayscale oracle splits."""
+def desk_benchmarks(out: str):
+    """Yields (seed, benchmark) for each desk seed, built as `eirm run` builds it."""
     cfg = cli.load_config(os.path.join(out, "config.json"), preset="desk")
-    lines = []
     for seed in range(SEEDS):
-        bench = datasets.make_benchmark(
+        yield seed, datasets.make_benchmark(
             cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
             height=cfg.height, width=cfg.width,
         )
+
+
+def oracle_splits(out: str) -> list:
+    """The digest of each desk seed's grayscale oracle splits."""
+    lines = []
+    for seed, bench in desk_benchmarks(out):
         for name in ("oracle_env", "oracle_test"):
             split = getattr(bench, name)
             h = hashlib.sha256()
             for array in (split.features, split.labels, split.spurious_bits):
                 h.update(array.tobytes())
             lines.append(f"{h.hexdigest()}  oracle_seed{seed}_{name}")
+    return lines
+
+
+def recorder_pools(out: str) -> list:
+    """The digest of each desk seed's trace pool, per kind of player."""
+    lines = []
+    for seed, bench in desk_benchmarks(out):
+        players = {
+            "game": (bench.train_envs, bench.test_env),
+            "erm": ([bench.train_envs], bench.test_env),
+            "oracle": ([bench.oracle_env], bench.oracle_test),
+        }
+        for name, (envs, test) in players.items():
+            recorder = TraceRecorder(envs, CROSS_ENTROPY, test, 1)
+            h = hashlib.sha256()
+            for slabs in (recorder.features, recorder.tail):
+                for columns, block in zip(slabs.columns, slabs.blocks):
+                    h.update(b"all" if columns is None else columns.astype(np.int64).tobytes())
+                    h.update(block.tobytes())
+            for rows in (recorder.rows, recorder.test_rows):
+                h.update(b"none" if rows is None else rows.astype(np.int64).tobytes())
+            lines.append(f"{h.hexdigest()}  pool_seed{seed}_{name}")
     return lines
 
 
@@ -113,6 +148,7 @@ def main(argv) -> int:
     print("\n".join(certificates(out)))
     print("\n".join(sem_parameters()))
     print("\n".join(oracle_splits(out)))
+    print("\n".join(recorder_pools(out)))
     return 0
 
 
