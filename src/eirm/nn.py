@@ -157,12 +157,29 @@ def _input(net: Mlp, batch: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 2 << 20  # one layer output of a predict block: about 2 MiB
 
 
+def _block_rows(net: Mlp) -> int:
+    """Rows of one predict block: its widest float64 layer output takes about _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
+
+
 def _predict_block(net: Mlp, x: np.ndarray, work=None) -> np.ndarray:
+    """forward(net, x)[0], keeping no layer outputs.
+
+    work, if given, holds two flat float64 buffers of at least x's rows times
+    the widest layer output, which take the layer outputs, and optionally a
+    third of at least x.size, into which x is widened if it is not float64.
+    The result is a view of a work buffer then; the values are the same
+    either way.
+    """
+    if work and len(work) > 2 and x.dtype != np.float64:
+        wide = work[2][: x.size].reshape(x.shape)
+        wide[...] = x
+        x = wide
     x = x.astype(np.float64, copy=False)
     pre = post = None
     for layer in net.layers:
         if work:
-            pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work)
+            pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work[:2])
         x = np.matmul(x, layer.weights, out=pre)
         x += layer.bias
         x = _activate(x, layer.activation, post)
@@ -182,7 +199,7 @@ def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     returned to the system block by block. A batch of one block is run as it is.
     """
     x = _input(net, batch)
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
+    rows = _block_rows(net)
     if x.shape[0] <= rows:
         return _predict_block(net, x)
     out = np.empty((x.shape[0], net.output_dim))

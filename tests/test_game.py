@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from eirm import baselines, game, nn, sem_game
+from eirm import baselines, cli, game, nn, sem_game
 from eirm.core import Rng, ShapeError, softmax_rows
 from eirm.datasets import (
     ColorEnvironment,
@@ -832,3 +834,152 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
     assert len(oracle.features.blocks) == len(oracle.tail.blocks) == 1
     sem_envs, _ = make_linear_sem(default_sem_spec(200), Rng(0))
     assert len(TraceRecorder(sem_envs, SQUARED, None, 1).features.blocks) == 1
+
+
+# A recorder pass of more than one nn.predict block runs on the caller and a
+# helper thread when BLAS is pinned to one thread and two CPUs may be used.
+def _two_cpus(monkeypatch, pinned=True, cpus=(0, 1)):
+    monkeypatch.setattr(game, "_BLAS_ONE_THREAD", pinned)
+    monkeypatch.setattr(game.os, "sched_getaffinity", lambda pid: set(cpus))
+
+
+def _paper_width_recorder():
+    """A recorder whose unbalanced colour slabs each span several 672-row blocks
+    at width 390, with a ragged last block, and whose tail spans two; and a
+    paper-width classifier, representation and head on its representation."""
+    bench = make_benchmark("COLORED_SHAPES", (6000, 6000, 2000), 0)
+    recorder = TraceRecorder(bench.train_envs, CROSS_ENTROPY, bench.test_env, 1)
+    rows = nn._block_rows(nn.make_mlp((1, 390, 2), Rng(0)))
+    sizes = [b.shape[0] for b in recorder.features.blocks]
+    assert rows == 672 and min(sizes) > 2 * rows and len(set(sizes)) == 2
+    assert all(size % rows for size in sizes) and recorder.tail.shape[0] > rows
+    nets = [nn.make_mlp((768, 390, 390, 2), Rng(1)), nn.make_mlp((768, 390, 390), Rng(2)),
+            nn.make_mlp((390, 390, 390, 2), Rng(3))]
+    return recorder, nets
+
+
+def _per_slab_predict(net, x):
+    """nn.predict on each slab with its columns' weight rows, end to end."""
+    if not isinstance(x, game.Slabs):
+        return nn.predict(net, x)
+    return np.vstack([nn.predict(game._first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)])
+
+
+def _passes(recorder, clf, phi, head):
+    """(name, net, input) of the recorder's passes: uint8 slabs, the tail, and a dense float64 input."""
+    z = _per_slab_predict(phi, recorder.features)
+    return [("features", clf, recorder.features), ("tail", clf, recorder.tail),
+            ("phi", phi, recorder.features), ("dense", head, z)]
+
+
+def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monkeypatch):
+    recorder, (clf, phi, head) = _paper_width_recorder()
+    passes = _passes(recorder, clf, phi, head)
+    expected = [_per_slab_predict(net, x) for _, net, x in passes]
+    _two_cpus(monkeypatch)
+    alive = threading.enumerate()
+    threads, helper_ran = [], threading.Event()
+
+    def tracked(net, x, work=None):
+        # the caller waits until the helper has taken a block, so both run some
+        if threading.current_thread() is threading.main_thread():
+            assert helper_ran.wait(30)
+        else:
+            helper_ran.set()
+        threads.append(threading.get_ident())
+        return run(net, x, work)
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", tracked)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
+    try:
+        for (name, net, x), want in zip(passes, expected):
+            helper_ran.clear()
+            threads.clear()
+            got = recorder._predict(net, x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            slabs = x.blocks if isinstance(x, game.Slabs) else [x]
+            assert len(threads) == sum(-(-b.shape[0] // 672) for b in slabs), name  # each block once
+            assert len(set(threads)) == 2, name
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.enumerate() == alive
+
+
+def test_a_helper_error_is_raised_after_the_helper_stops(monkeypatch, tmp_path):
+    _two_cpus(monkeypatch)
+    alive = threading.enumerate()
+    helper_ran, blocks = threading.Event(), []
+
+    def failing(net, x, work=None):
+        if work is not None and len(work) == 3:  # a block of a two-thread pass
+            if threading.current_thread() is threading.main_thread():
+                assert helper_ran.wait(30)
+            else:
+                helper_ran.set()
+                blocks.append(x.shape[0])
+                if len(blocks) == 3:
+                    raise MemoryError("Unable to allocate 2. MiB")
+        return run(net, x, work)
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", failing)
+    cfg = cli.ExperimentConfig(
+        sizes=(6000, 6000, 2000), methods=("F_IRM",), n_seeds=1, out_dir=str(tmp_path),
+        train=TrainConfig(max_iters=1, termination=TerminationRule(enabled=False)),
+    )
+    with pytest.raises(cli.ConfigError, match=r"sizes \[6000, 6000, 2000\].*2\. MiB"):
+        cli.run_experiment(cfg)
+    assert len(blocks) == 3
+    assert threading.enumerate() == alive
+
+
+def _no_threads(*args, **kwargs):
+    raise AssertionError("a helper thread was started")
+
+
+def test_no_helper_starts_on_desk_widths_one_cpu_or_unpinned_blas(monkeypatch):
+    bench = _small_bench(n=2000)
+    cfg = dataclasses.replace(_small_cfg(max_iters=5), hidden_dims=(64, 64),
+                              phi_hidden_dims=(64,), repr_dim=64)
+    runs = {}
+    for mode in (FIXED_PHI, VARIABLE_PHI):
+        model, trace = best_response_train(bench.train_envs, cfg, mode, test_env=bench.test_env)
+        runs[mode] = (model, [dataclasses.astuple(r) for r in trace.records])
+    recorder, (clf, phi, head) = _paper_width_recorder()
+    passes = _passes(recorder, clf, phi, head)
+    expected = [_per_slab_predict(net, x).tobytes() for _, net, x in passes]
+    monkeypatch.setattr(threading, "Thread", _no_threads)
+    # every desk pass is one block: 4096 rows at width 64
+    _two_cpus(monkeypatch)
+    for mode, (model, records) in runs.items():
+        again, trace = best_response_train(bench.train_envs, cfg, mode, test_env=bench.test_env)
+        assert [dataclasses.astuple(r) for r in trace.records] == records, mode
+        nets = [*model.classifiers, *([model.representation] if model.representation else [])]
+        redone = [*again.classifiers, *([again.representation] if again.representation else [])]
+        assert [_params_digest(n) for n in redone] == [_params_digest(n) for n in nets], mode
+    for pinned, cpus in ((True, (0,)), (False, (0, 1))):
+        _two_cpus(monkeypatch, pinned, cpus)
+        got = [recorder._predict(net, x).tobytes() for _, net, x in passes]
+        assert got == expected, (pinned, cpus)
+
+
+def test_blas_counts_one_thread_as_openblas_reads_its_variables(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    cases = [
+        ((None, None, None), False),
+        (("1", None, None), True),
+        (("2", None, "1"), False),
+        ((None, None, "1"), True),
+        ((None, "1", "4"), True),
+        (("0", None, "1"), True),  # a count below 1 is unset
+        (("x", "2", None), False),
+    ]
+    for values, one in cases:
+        for name, value in zip(names, values):
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        assert game._blas_one_thread() is one, values

@@ -1,5 +1,5 @@
-"""Print the sha256 of every trace CSV and results table of a short desk run,
-and the SEM certificates.
+"""Print the sha256 of every trace CSV and results table of a short desk run
+and of a short paper-width run, and the SEM certificates.
 
     python3 tools/trace_digests.py OUT_DIR
 
@@ -17,12 +17,19 @@ parameters of each classifier that `train_sem_game` returns on those seeds
 trained heads are checked directly and not only through the report floats.
 Then it prints `sha256  oracle_seed{S}_{split}` for the grayscale oracle
 splits (`oracle_env`, `oracle_test`) of the desk benchmark of seeds 0-2: the
-bytes of the features, then the labels, then the spurious bits. Last it
+bytes of the features, then the labels, then the spurious bits. Then it
 prints `sha256  pool_seed{S}_{player}` for the trace recorder's pool of the
 same benchmarks, as the game's players (F-IRM, V-IRM and ROBUST), ERM's
 pooled player and ORACLE's player pool it with their test splits: each
 slab's column list (int64, or `all`) and bytes, training slabs then tail
 slabs, then `rows` and `test_rows` (int64, or `none`).
+Last it runs the paper preset's networks (hidden widths 390, V-IRM's
+representation 390 wide) for F-IRM, V-IRM, ERM, ROBUST and ORACLE on seed
+0 with sizes PAPER_SIZES into OUT_DIR/paper, so each colour slab of the
+trace pool spans several 672-row predict blocks: 1 game iteration and 3
+baseline steps, termination off and a test accuracy on every row. It
+prints `sha256  paper/name` for each of that run's trace CSVs and results
+tables.
 The eirm it runs is the one in `src/` of the checkout
 this file sits in, so the output of two checkouts that train, trace and
 certify alike is identical, and comparing them is one `diff`.
@@ -43,27 +50,41 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import numpy as np  # noqa: E402
 
 from eirm import cli, datasets  # noqa: E402
-from eirm.game import CROSS_ENTROPY, TraceRecorder  # noqa: E402
+from eirm.game import CROSS_ENTROPY, TerminationRule, TraceRecorder  # noqa: E402
 from eirm.sem_game import train_sem_game  # noqa: E402
 
 SEEDS = 3
 MAX_ITERS = 30
 BASELINE_ITERS = 40
 SEM_SEEDS = 4
+PAPER_METHODS = ("F_IRM", "V_IRM", "ERM", "ROBUST", "ORACLE")
+PAPER_SIZES = (6000, 6000, 2000)  # colour slabs of 2740 and 4520 distinct rows on seed 0
 
 
-def run(out: str) -> list:
-    """Runs the short desk sweep into out; returns the names of the files to digest."""
+def run(out: str, preset: str, methods, n_seeds: int, baseline_iters: int, **train) -> list:
+    """Runs `eirm run --preset preset` into out, cut to baseline_iters baseline
+    steps and the TrainConfig fields in train; returns the names of the files to digest."""
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "config.json")
     with open(path, "w") as f:
-        json.dump({"methods": list(cli.METHODS), "n_seeds": SEEDS, "seed": 0}, f)
-    cfg = cli.load_config(path, preset="desk")
-    cfg.train = dataclasses.replace(cfg.train, max_iters=MAX_ITERS)
-    cfg.baseline_iters = BASELINE_ITERS
+        json.dump({"methods": list(methods), "n_seeds": n_seeds, "seed": 0}, f)
+    cfg = cli.load_config(path, preset=preset)
+    if preset == "paper":
+        cfg.sizes = PAPER_SIZES
+    cfg.train = dataclasses.replace(cfg.train, **train)
+    cfg.baseline_iters = baseline_iters
     results = cli.run_experiment(cfg, out_dir=out)
-    traces = [f"trace_{label}_seed{seed}.csv" for label in results for seed in range(SEEDS)]
+    traces = [f"trace_{label}_seed{seed}.csv" for label in results for seed in range(n_seeds)]
     return sorted(traces + ["results.csv", "results.md"])
+
+
+def digests(out: str, names, prefix: str = "") -> list:
+    """`sha256  prefix+name` of each named file in out."""
+    lines = []
+    for name in names:
+        with open(os.path.join(out, name), "rb") as f:
+            lines.append(f"{hashlib.sha256(f.read()).hexdigest()}  {prefix}{name}")
+    return lines
 
 
 def certificates(out: str) -> list:
@@ -142,13 +163,16 @@ def main(argv) -> int:
         print("usage: python3 tools/trace_digests.py OUT_DIR", file=sys.stderr)
         return 2
     out = argv[0]
-    for name in run(out):
-        with open(os.path.join(out, name), "rb") as f:
-            print(f"{hashlib.sha256(f.read()).hexdigest()}  {name}")
+    print("\n".join(digests(out, run(out, "desk", cli.METHODS, SEEDS, BASELINE_ITERS,
+                                      max_iters=MAX_ITERS))))
     print("\n".join(certificates(out)))
     print("\n".join(sem_parameters()))
     print("\n".join(oracle_splits(out)))
     print("\n".join(recorder_pools(out)))
+    paper = os.path.join(out, "paper")
+    names = run(paper, "paper", PAPER_METHODS, 1, 3, max_iters=1, test_every=1,
+                termination=TerminationRule(enabled=False))
+    print("\n".join(digests(paper, names, "paper/")))
     return 0
 
 
