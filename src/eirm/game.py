@@ -13,8 +13,6 @@ worst-environment step as its only turn.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -441,81 +439,6 @@ def _player_data(envs, loss: Loss) -> list:
     ]
 
 
-def _blas_one_thread() -> bool:
-    """Whether BLAS runs on one thread: the first of OpenBLAS's thread-count
-    variables that holds a positive count, read in OpenBLAS's order, says 1."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            count = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if count > 0:
-            return count == 1
-    return False
-
-
-_BLAS_ONE_THREAD = _blas_one_thread()  # read once, as BLAS reads it when it loads
-
-
-def _helper_starts() -> bool:
-    """Whether a multi-block diagnostics pass gets a helper thread: BLAS leaves
-    the second CPU idle, and the process may use two."""
-    return _BLAS_ONE_THREAD and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-def _drain(blocks, work, errors: list) -> None:
-    """Runs each (net, rows, out) taken from the shared iterator blocks into out.
-
-    Both threads of a pass take from the same list iterator, whose next() is
-    atomic under the GIL. On an exception the iterator is emptied, so the
-    other thread stops after its current block, and the exception is kept in
-    errors for the caller to raise.
-    """
-    try:
-        for net, x, out in blocks:
-            out[...] = nn._predict_block(net, x, work)
-    except BaseException as exc:
-        errors.append(exc)
-        for _ in blocks:
-            pass
-
-
-def _predict_on_two_threads(parts, n: int) -> np.ndarray:
-    """The outputs of each (net, rows) of parts, end to end, on this thread and a helper.
-
-    The nets share every width but their inputs'. Each array is cut into
-    blocks where nn.predict cuts it, so each block runs the arithmetic of
-    nn.predict and every output bit is the same. Each thread runs its
-    blocks with its own work set: two layer outputs and a widened input
-    block, allocated here, so that the helper allocates nothing (glibc
-    would give it a malloc arena of its own). The helper is joined before
-    this returns or raises; an exception from either thread is raised here.
-    """
-    net = parts[0][0]
-    rows = nn._block_rows(net)
-    out = np.empty((n, net.output_dim))
-    blocks, lo = [], 0
-    for cut, x in parts:
-        for at in range(0, x.shape[0], rows):
-            block = x[at : at + rows]
-            blocks.append((cut, block, out[lo + at : lo + at + block.shape[0]]))
-        lo += x.shape[0]
-    widest = max(l.out_dim for l in net.layers)
-    wide = max((x.shape[1] for _, x in parts if x.dtype != np.float64), default=0)
-    works = [[np.empty(rows * widest), np.empty(rows * widest), np.empty(rows * wide)]
-             for _ in range(2)]
-    queue, errors = iter(blocks), []
-    helper = threading.Thread(target=_drain, args=(queue, works[1], errors))
-    helper.start()
-    try:
-        _drain(queue, works[0], errors)
-    finally:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return out
-
-
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
@@ -529,8 +452,8 @@ class TraceRecorder:
     the networks whose parameters or input changed since the previous row; a
     test step runs every network on `tail` alone. The `nn.predict` passes run
     from these methods, not from a public game function, so profilers see
-    them as direct children of the training call; a pass run on two threads
-    calls no public nn function at all. `data` holds each player's
+    them as direct children of the training call; a pass of more than one
+    block is one `nn.predict_parts` call. `data` holds each player's
     (features, targets), as `_player_data` builds them.
     """
 
@@ -558,13 +481,13 @@ class TraceRecorder:
     def _predict(self, net: nn.Mlp, x) -> np.ndarray:
         """net's inference output on x; each block of Slabs runs with its columns' weight rows.
 
-        A pass of more than one nn.predict block runs on two threads when
-        _helper_starts() (_predict_on_two_threads), with the same output bits.
+        A pass of more than one nn.predict block runs as nn.predict_parts,
+        with the same output bits.
         """
         parts = ([(_first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)]
                  if isinstance(x, Slabs) else [(net, x)])
-        if x.shape[0] > nn._block_rows(net) and _helper_starts():
-            return _predict_on_two_threads(parts, x.shape[0])
+        if x.shape[0] > nn._block_rows(net):
+            return nn.predict_parts(parts)
         if not isinstance(x, Slabs):
             return nn.predict(net, x)
         out = np.empty((x.shape[0], net.output_dim))

@@ -8,6 +8,8 @@ state and the finite-difference checker both rely on.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,6 +208,68 @@ def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     work = [np.empty(rows * max(l.out_dim for l in net.layers)) for _ in range(2)]
     for lo in range(0, x.shape[0], rows):
         out[lo : lo + rows] = _predict_block(net, x[lo : lo + rows], work)
+    return out
+
+
+def _drain(blocks, work, errors: list) -> None:
+    """Runs each (net, rows, out) taken from the shared iterator blocks into out.
+
+    Both threads of a predict_parts call take from the same list iterator,
+    whose next() is atomic under the GIL. On an exception the iterator is
+    emptied, so the other thread stops after its current block, and the
+    exception is kept in errors for the caller to raise.
+    """
+    try:
+        for net, x, out in blocks:
+            out[...] = _predict_block(net, x, work)
+    except BaseException as exc:
+        errors.append(exc)
+        for _ in blocks:
+            pass
+
+
+def predict_parts(parts) -> np.ndarray:
+    """predict(net, batch) of each (net, batch) of parts, stacked in order.
+
+    The nets share every width but their inputs' (one net cut to each
+    column slab's weight rows). Each batch is cut into blocks where predict
+    cuts it, so each block runs predict's arithmetic and every output bit is
+    the same. When the process may use two CPUs, this thread and one helper
+    thread take the blocks from one queue; with BLAS on one thread that
+    keeps both CPUs busy, and with BLAS on more the two threads' BLAS calls
+    contend for the CPUs. Each thread runs its blocks with its own work set:
+    two layer outputs and a widened input block, allocated here, so that the
+    helper allocates nothing (glibc would give it a malloc arena of its own).
+    The helper calls no public function, so a profiler sees this call alone.
+    It is joined before this returns or raises; an exception from either
+    thread is raised here.
+    """
+    parts = [(net, _input(net, batch)) for net, batch in parts]
+    net = parts[0][0]
+    rows = _block_rows(net)
+    out = np.empty((sum(x.shape[0] for _, x in parts), net.output_dim))
+    blocks, lo = [], 0
+    for cut, x in parts:
+        for at in range(0, x.shape[0], rows):
+            block = x[at : at + rows]
+            blocks.append((cut, block, out[lo + at : lo + at + block.shape[0]]))
+        lo += x.shape[0]
+    two = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    widest = max(l.out_dim for l in net.layers)
+    wide = max((x.shape[1] for _, x in parts if x.dtype != np.float64), default=0)
+    works = [[np.empty(rows * widest), np.empty(rows * widest), np.empty(rows * wide)]
+             for _ in range(1 + two)]
+    queue, errors = iter(blocks), []
+    helpers = [threading.Thread(target=_drain, args=(queue, work, errors)) for work in works[1:]]
+    for helper in helpers:
+        helper.start()
+    try:
+        _drain(queue, works[0], errors)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import sys
 import threading
 
@@ -836,11 +837,10 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
     assert len(TraceRecorder(sem_envs, SQUARED, None, 1).features.blocks) == 1
 
 
-# A recorder pass of more than one nn.predict block runs on the caller and a
-# helper thread when BLAS is pinned to one thread and two CPUs may be used.
-def _two_cpus(monkeypatch, pinned=True, cpus=(0, 1)):
-    monkeypatch.setattr(game, "_BLAS_ONE_THREAD", pinned)
-    monkeypatch.setattr(game.os, "sched_getaffinity", lambda pid: set(cpus))
+# A recorder pass of more than one nn.predict block is one nn.predict_parts
+# call, which runs on the caller and a helper thread when two CPUs may be used.
+def _cpus(monkeypatch, cpus=(0, 1)):
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(cpus))
 
 
 def _paper_width_recorder():
@@ -876,7 +876,7 @@ def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monke
     recorder, (clf, phi, head) = _paper_width_recorder()
     passes = _passes(recorder, clf, phi, head)
     expected = [_per_slab_predict(net, x) for _, net, x in passes]
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     alive = threading.enumerate()
     threads, helper_ran = [], threading.Event()
 
@@ -891,14 +891,27 @@ def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monke
 
     run = nn._predict_block
     monkeypatch.setattr(nn, "_predict_block", tracked)
+    public = []  # (name, thread) of every public nn call: a profiler sees these alone
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            public.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return call
+
+    for name, fn in list(vars(nn).items()):
+        if not name.startswith("_") and inspect.isfunction(fn) and fn.__module__ == nn.__name__:
+            monkeypatch.setattr(nn, name, logged(name, fn))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads trade the interpreter lock as often as they can
     try:
         for (name, net, x), want in zip(passes, expected):
             helper_ran.clear()
             threads.clear()
+            public.clear()
             got = recorder._predict(net, x)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert public == [("predict_parts", threading.main_thread())], name
             slabs = x.blocks if isinstance(x, game.Slabs) else [x]
             assert len(threads) == sum(-(-b.shape[0] // 672) for b in slabs), name  # each block once
             assert len(set(threads)) == 2, name
@@ -908,7 +921,7 @@ def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monke
 
 
 def test_a_helper_error_is_raised_after_the_helper_stops(monkeypatch, tmp_path):
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     alive = threading.enumerate()
     helper_ran, blocks = threading.Event(), []
 
@@ -939,7 +952,7 @@ def _no_threads(*args, **kwargs):
     raise AssertionError("a helper thread was started")
 
 
-def test_no_helper_starts_on_desk_widths_one_cpu_or_unpinned_blas(monkeypatch):
+def test_no_helper_starts_on_desk_widths_or_one_cpu(monkeypatch):
     bench = _small_bench(n=2000)
     cfg = dataclasses.replace(_small_cfg(max_iters=5), hidden_dims=(64, 64),
                               phi_hidden_dims=(64,), repr_dim=64)
@@ -952,34 +965,13 @@ def test_no_helper_starts_on_desk_widths_one_cpu_or_unpinned_blas(monkeypatch):
     expected = [_per_slab_predict(net, x).tobytes() for _, net, x in passes]
     monkeypatch.setattr(threading, "Thread", _no_threads)
     # every desk pass is one block: 4096 rows at width 64
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     for mode, (model, records) in runs.items():
         again, trace = best_response_train(bench.train_envs, cfg, mode, test_env=bench.test_env)
         assert [dataclasses.astuple(r) for r in trace.records] == records, mode
         nets = [*model.classifiers, *([model.representation] if model.representation else [])]
         redone = [*again.classifiers, *([again.representation] if again.representation else [])]
         assert [_params_digest(n) for n in redone] == [_params_digest(n) for n in nets], mode
-    for pinned, cpus in ((True, (0,)), (False, (0, 1))):
-        _two_cpus(monkeypatch, pinned, cpus)
-        got = [recorder._predict(net, x).tobytes() for _, net, x in passes]
-        assert got == expected, (pinned, cpus)
-
-
-def test_blas_counts_one_thread_as_openblas_reads_its_variables(monkeypatch):
-    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    cases = [
-        ((None, None, None), False),
-        (("1", None, None), True),
-        (("2", None, "1"), False),
-        ((None, None, "1"), True),
-        ((None, "1", "4"), True),
-        (("0", None, "1"), True),  # a count below 1 is unset
-        (("x", "2", None), False),
-    ]
-    for values, one in cases:
-        for name, value in zip(names, values):
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        assert game._blas_one_thread() is one, values
+    _cpus(monkeypatch, (0,))
+    got = [recorder._predict(net, x).tobytes() for _, net, x in passes]
+    assert got == expected
