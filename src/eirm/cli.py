@@ -78,6 +78,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"methods: unknown method {m!r}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise ConfigError(f"methods: need one or more distinct methods, got {list(self.methods)}")
         if len(self.sizes) != len(self.flip_probs):
             raise ConfigError(
                 f"sizes: {len(self.sizes)} entries, but flip_probs has {len(self.flip_probs)}"

@@ -142,6 +142,8 @@ class TerminationRule:
             raise ValueError("min_steps must be >= 0")
         if not 0.0 <= self.quantile <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
+        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+            raise ValueError(f"threshold must be in [0, 1], got {self.threshold!r}")
 
 
 class TerminationMonitor:
@@ -450,11 +452,11 @@ class TraceRecorder:
     and `test_rows` give each pooled training and test row's pool row (None
     when in order); outputs are gathered back through them. A row reruns only
     the networks whose parameters or input changed since the previous row; a
-    test step runs every network on `tail` alone. The `nn.predict` passes run
-    from these methods, not from a public game function, so profilers see
-    them as direct children of the training call; a pass of more than one
-    block is one `nn.predict_parts` call. `data` holds each player's
-    (features, targets), as `_player_data` builds them.
+    test step runs every network on `tail` alone. Each pass is one
+    `nn.predict_parts` call, made from these methods, not from a public game
+    function, so profilers see it as a direct child of the training call.
+    `data` holds each player's (features, targets), as `_player_data` builds
+    them.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
@@ -479,23 +481,10 @@ class TraceRecorder:
         self._runs = {}
 
     def _predict(self, net: nn.Mlp, x) -> np.ndarray:
-        """net's inference output on x; each block of Slabs runs with its columns' weight rows.
-
-        A pass of more than one nn.predict block runs as nn.predict_parts,
-        with the same output bits.
-        """
+        """net's inference output on x; each block of Slabs runs with its columns' weight rows."""
         parts = ([(_first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)]
                  if isinstance(x, Slabs) else [(net, x)])
-        if x.shape[0] > nn._block_rows(net):
-            return nn.predict_parts(parts)
-        if not isinstance(x, Slabs):
-            return nn.predict(net, x)
-        out = np.empty((x.shape[0], net.output_dim))
-        lo = 0
-        for cut, block in parts:
-            out[lo : lo + block.shape[0]] = nn.predict(cut, block)
-            lo += block.shape[0]
-        return out
+        return nn.predict_parts(parts)
 
     def _output(self, net: nn.Mlp, x: np.ndarray, runs: dict) -> np.ndarray:
         """net's inference output on x, reused from the previous row if neither changed."""

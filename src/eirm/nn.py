@@ -136,8 +136,7 @@ def _activate(pre: np.ndarray, kind: str, out: np.ndarray = None) -> np.ndarray:
 
 
 def _activate_grad(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "linear":
-        return np.ones_like(pre)
+    # The ELU gradient alone: backward skips linear layers, whose gradient is 1.
     # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x.
     # fmin(post, 0) + alpha, no boolean mask: where pre < 0, post <= 0 (alpha >= 0), so it
     # is post + alpha; elsewhere post >= 0 or NaN (fmin drops NaN), so it is alpha, i.e. 1.
@@ -167,20 +166,19 @@ def _block_rows(net: Mlp) -> int:
 def _predict_block(net: Mlp, x: np.ndarray, work=None) -> np.ndarray:
     """forward(net, x)[0], keeping no layer outputs.
 
-    work, if given, holds two flat float64 buffers of at least x's rows times
-    the widest layer output, which take the layer outputs, and optionally a
-    third of at least x.size, into which x is widened if it is not float64.
-    The result is a view of a work buffer then; the values are the same
-    either way.
+    work, if given, is a work set of _run_blocks: two flat float64 buffers of
+    at least x's rows times the widest layer output, for the layer outputs,
+    and one into which x is widened if it is not float64. The result is then
+    a view of a work buffer; the values are the same either way.
     """
-    if work and len(work) > 2 and x.dtype != np.float64:
+    if work is not None and x.dtype != np.float64:
         wide = work[2][: x.size].reshape(x.shape)
         wide[...] = x
         x = wide
     x = x.astype(np.float64, copy=False)
     pre = post = None
     for layer in net.layers:
-        if work:
+        if work is not None:
             pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work[:2])
         x = np.matmul(x, layer.weights, out=pre)
         x += layer.bias
@@ -188,36 +186,13 @@ def _predict_block(net: Mlp, x: np.ndarray, work=None) -> np.ndarray:
     return x
 
 
-def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
-    """The net's inference output, row blocks of forward(net, block)[0] stacked.
-
-    Rows run in blocks whose widest float64 layer output takes about
-    _BLOCK_BYTES, so a block's layer outputs stay in cache: 4096 rows at
-    width 64, 672 at width 390. A batch of another dtype (uint8 pixels) is
-    widened to float64 one block at a time, so no float64 copy of it is ever
-    made, and the blocks are the same as for its float64 copy. Each block's
-    layer outputs are written into two arrays allocated once per call, and its
-    result into one preallocated output, so memory is not allocated and
-    returned to the system block by block. A batch of one block is run as it is.
-    """
-    x = _input(net, batch)
-    rows = _block_rows(net)
-    if x.shape[0] <= rows:
-        return _predict_block(net, x)
-    out = np.empty((x.shape[0], net.output_dim))
-    work = [np.empty(rows * max(l.out_dim for l in net.layers)) for _ in range(2)]
-    for lo in range(0, x.shape[0], rows):
-        out[lo : lo + rows] = _predict_block(net, x[lo : lo + rows], work)
-    return out
-
-
 def _drain(blocks, work, errors: list) -> None:
-    """Runs each (net, rows, out) taken from the shared iterator blocks into out.
+    """Runs each (net, block, out rows) taken from blocks into its out rows.
 
-    Both threads of a predict_parts call take from the same list iterator,
-    whose next() is atomic under the GIL. On an exception the iterator is
-    emptied, so the other thread stops after its current block, and the
-    exception is kept in errors for the caller to raise.
+    With a helper, the threads share one list iterator, whose next() is
+    atomic under the GIL. On an exception the iterator is emptied, so any
+    other thread stops after its current block, and the exception is kept in
+    errors for the caller to raise.
     """
     try:
         for net, x, out in blocks:
@@ -228,49 +203,76 @@ def _drain(blocks, work, errors: list) -> None:
             pass
 
 
-def predict_parts(parts) -> np.ndarray:
-    """predict(net, batch) of each (net, batch) of parts, stacked in order.
+def _run_blocks(parts, threads: int) -> np.ndarray:
+    """predict of each (net, x) of parts, stacked in order, block by block.
 
-    The nets share every width but their inputs' (one net cut to each
-    column slab's weight rows). Each batch is cut into blocks where predict
-    cuts it, so each block runs predict's arithmetic and every output bit is
-    the same. When the process may use two CPUs, this thread and one helper
-    thread take the blocks from one queue; with BLAS on one thread that
-    keeps both CPUs busy, and with BLAS on more the two threads' BLAS calls
-    contend for the CPUs. Each thread runs its blocks with its own work set:
-    two layer outputs and a widened input block, allocated here, so that the
-    helper allocates nothing (glibc would give it a malloc arena of its own).
-    The helper calls no public function, so a profiler sees this call alone.
-    It is joined before this returns or raises; an exception from either
-    thread is raised here.
+    The nets share every width but their inputs'. Each thread gets a work set
+    allocated here, so a helper allocates nothing (glibc would give it a malloc
+    arena of its own): two layer outputs, and a widened block if an input is
+    not float64. On one thread the blocks come from a generator, so memory
+    stays flat whatever the rows; helpers, which call no public function, share
+    a list. They are joined before this returns or raises, and an exception
+    from any thread is raised here.
     """
-    parts = [(net, _input(net, batch)) for net, batch in parts]
     net = parts[0][0]
-    rows = _block_rows(net)
-    out = np.empty((sum(x.shape[0] for _, x in parts), net.output_dim))
-    blocks, lo = [], 0
-    for cut, x in parts:
-        for at in range(0, x.shape[0], rows):
-            block = x[at : at + rows]
-            blocks.append((cut, block, out[lo + at : lo + at + block.shape[0]]))
-        lo += x.shape[0]
-    two = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    rows, sizes = _block_rows(net), [x.shape[0] for _, x in parts]
+    out = np.empty((sum(sizes), net.output_dim))
     widest = max(l.out_dim for l in net.layers)
     wide = max((x.shape[1] for _, x in parts if x.dtype != np.float64), default=0)
-    works = [[np.empty(rows * widest), np.empty(rows * widest), np.empty(rows * wide)]
-             for _ in range(1 + two)]
-    queue, errors = iter(blocks), []
-    helpers = [threading.Thread(target=_drain, args=(queue, work, errors)) for work in works[1:]]
+    works = [(np.empty(rows * widest), np.empty(rows * widest), np.empty(rows * wide))
+             for _ in range(threads)]
+    blocks = ((cut, x[at : at + rows], o[at : at + rows])
+              for (cut, x), o in zip(parts, np.split(out, np.cumsum(sizes)[:-1]))
+              for at in range(0, x.shape[0], rows))
+    if threads > 1:
+        blocks = iter(list(blocks))
+    errors = []
+    helpers = [threading.Thread(target=_drain, args=(blocks, work, errors)) for work in works[1:]]
     for helper in helpers:
         helper.start()
     try:
-        _drain(queue, works[0], errors)
+        _drain(blocks, works[0], errors)
     finally:
         for helper in helpers:
             helper.join()
     if errors:
         raise errors[0]
     return out
+
+
+def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
+    """The net's inference output, row blocks of forward(net, block)[0] stacked.
+
+    Rows run in blocks whose widest float64 layer output takes about
+    _BLOCK_BYTES, so a block's layer outputs stay in cache: 4096 rows at
+    width 64, 672 at width 390. A batch of one block runs as it is; a longer
+    one runs on this thread alone with one work set per call, into which its
+    layer outputs go and, if it is not float64 (uint8 pixels), each block
+    widened: no float64 copy of the batch is made, and memory is not
+    allocated and returned to the system block by block.
+    """
+    x = _input(net, batch)
+    if x.shape[0] <= _block_rows(net):
+        return _predict_block(net, x)
+    return _run_blocks([(net, x)], 1)
+
+
+def predict_parts(parts) -> np.ndarray:
+    """predict(net, batch) of each (net, batch) of parts, stacked, with its bits.
+
+    The nets share every width but their inputs' (one net cut to each column
+    slab's weight rows). Parts of at most one block in all run through
+    predict. A longer pass is cut where predict cuts each batch; when the
+    process may use two CPUs, this thread and a helper take its blocks from
+    one queue. With BLAS on one thread that keeps both CPUs busy; with BLAS
+    on more, the two threads' BLAS calls contend for the CPUs.
+    """
+    parts = [(net, _input(net, batch)) for net, batch in parts]
+    if sum(x.shape[0] for _, x in parts) <= _block_rows(parts[0][0]):
+        outs = [predict(net, x) for net, x in parts]
+        return outs[0] if len(outs) == 1 else np.concatenate(outs)
+    two = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+    return _run_blocks(parts, 1 + two)
 
 
 def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = None):

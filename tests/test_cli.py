@@ -198,6 +198,10 @@ BAD_CONFIGS = [
     ({"sizes": [10**20, 20, 20]}, "sizes"),
     ({"benchmark": "COLORED_DIGITS"}, "benchmark"),
     ({"data_dir": "x"}, "data_dir"),
+    ({"methods": []}, "methods"),
+    ({"methods": ["ERM", "ERM"], "n_seeds": 1}, "methods"),
+    ({"train": {"termination": {"threshold": -0.5}}}, "train.termination.threshold"),
+    ({"train": {"termination": {"threshold": 1.5}}}, "train.termination.threshold"),
 ]
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -134,6 +136,47 @@ def test_desk_widths_run_as_one_block(monkeypatch):
     assert blocks == [rows]
     nn.predict(net, np.vstack([x, x[:1]]))
     assert blocks == [rows, rows, 1]
+
+
+def _two_cpus_no_threads(monkeypatch):
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def started(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(threading, "Thread", started)
+
+
+def test_predict_parts_of_one_block_runs_predict_per_part_on_the_caller(monkeypatch):
+    rows = _block_rows(390)
+    nets = [nn.make_mlp((9, 390, 2), Rng(13)), nn.make_mlp((4, 390, 2), Rng(14))]
+    pixels = (Rng(15).random((rows - 100, 9)) < 0.3).astype(np.uint8)
+    parts = [(nets[0], pixels), (nets[1], Rng(16).normal(size=(100, 4)))]
+    stacked = np.vstack([nn.predict(net, x) for net, x in parts])
+    _two_cpus_no_threads(monkeypatch)
+    calls = []
+
+    def logged(net, batch):
+        calls.append((net, batch.shape[0], threading.current_thread()))
+        return run(net, batch)
+
+    run = nn.predict
+    monkeypatch.setattr(nn, "predict", logged)
+    assert nn.predict_parts(parts).tobytes() == stacked.tobytes()  # one block in total
+    assert calls == [(net, x.shape[0], threading.main_thread()) for net, x in parts]
+    with pytest.raises(AssertionError, match="helper thread"):  # one row more is two blocks
+        nn.predict_parts([*parts, (nets[1], parts[1][1][:1])])
+
+
+def test_a_multi_block_predict_starts_no_thread(monkeypatch):
+    _two_cpus_no_threads(monkeypatch)
+    net = nn.make_mlp((20, 390, 390, 2), Rng(17))
+    rows = _block_rows(390)
+    pixels = (Rng(18).random((3 * rows + 5, 20)) < 0.3).astype(np.uint8)
+    for x in (pixels.astype(np.float64), pixels):
+        stacked = np.vstack([nn.forward(net, x[lo : lo + rows])[0]
+                             for lo in range(0, x.shape[0], rows)])
+        assert nn.predict(net, x).tobytes() == stacked.tobytes(), x.dtype
 
 
 def test_elu_values():
