@@ -21,6 +21,7 @@ from .datasets import (
     ColorEnvironment,
     EnvironmentDataset,
     LabeledImages,
+    PackedMasks,
     SemSpec,
     make_benchmark,
     make_linear_sem,

@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import nn
-from .datasets import ColorEnvironment, EnvironmentDataset
+from .datasets import ColorEnvironment, EnvironmentDataset, PackedMasks
 from .game import ROBUST, EnsembleModel, TerminationRule, TrainConfig, best_response_train
 
 
@@ -25,7 +25,7 @@ def as_ensemble(model: nn.Mlp) -> EnsembleModel:
 def pool_environments(datasets):
     """The datasets' rows in order as one dataset; a lone dataset is returned as it is.
 
-    COLOR environments pool into one, their masks stacked. For evaluation on
+    COLOR environments pool into one, their packed masks stacked. For evaluation on
     the pooled rows. No trainer calls it: train_erm passes its datasets to
     the game loop as one pooled player, which never stacks their rows.
     """
@@ -37,8 +37,8 @@ def pool_environments(datasets):
     bits = [getattr(d, "spurious_bits", None) for d in datasets]
     bits = np.concatenate(bits) if all(b is not None for b in bits) else None
     if all(isinstance(d, ColorEnvironment) for d in datasets):
-        masks = np.vstack([d.masks for d in datasets])
-        return ColorEnvironment(masks, labels, bits, "pooled", float("nan"))
+        packed = PackedMasks.stacked([d.packed for d in datasets])
+        return ColorEnvironment(packed, labels, bits, "pooled", float("nan"))
     features = np.vstack([d.features for d in datasets])
     return EnvironmentDataset(features, labels, bits, "pooled", float("nan"))
 

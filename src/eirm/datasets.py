@@ -7,9 +7,10 @@ flipping the final label with a per-environment probability p_e. The
 spurious bit picks the image's color (red vs green channel). The test
 environment reverses the correlation (p_e = 0.9 by default).
 
-Every source image is uint8 0/1 from generation on, held once with its
-colour bit; dense H*W*3 rows are built only where read. The networks widen
-pixels to float64 a batch or a block of rows at a time.
+Every source image is 0/1 from generation on, held once, packed one bit a
+pixel, with its colour bit; uint8 dense H*W*3 rows are built only where
+read. The networks widen pixels to float64 a batch or a block of rows at a
+time.
 """
 
 from __future__ import annotations
@@ -57,40 +58,109 @@ class EnvironmentDataset:
     flip_prob: float
 
 
+_UNPACK_ROWS = 64  # rows unpacked at a time, so a read of many rows holds one small index chunk
+
+# _DENSE_BYTES[256 * bit + byte]: the dense features of the 8 pixels one
+# packed byte holds, pixel by pixel (red, green, blue), lit in red (channel
+# 0) for colour bit 1 and in green (channel 1) for colour bit 0
+_DENSE_BYTES = np.zeros((2, 256, 8, 3), np.uint8)
+_DENSE_BYTES[1, :, :, 0] = _DENSE_BYTES[0, :, :, 1] = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1
+)
+_DENSE_BYTES = _DENSE_BYTES.reshape(512, 24)
+
+
+@dataclass(frozen=True)
+class PackedMasks:
+    """(n, width) uint8 0/1 masks held as np.packbits rows, ceil(width / 8) bytes each.
+
+    Indexing (an integer, a slice, an index or boolean array) unpacks only
+    the rows read, as indexing the dense masks would; `shape` and `dtype`
+    are the dense masks'.
+    """
+
+    bits: np.ndarray  # (n, ceil(width / 8)) uint8, first pixel in the high bit
+    width: int
+    dtype = np.dtype(np.uint8)
+
+    @classmethod
+    def stacked(cls, parts) -> "PackedMasks":
+        """The parts' packed rows in order, stacked into one array."""
+        widths = {p.width for p in parts}
+        if len(widths) != 1:
+            raise ValueError(f"masks of different widths {sorted(widths)} cannot be stacked")
+        return cls(np.vstack([p.bits for p in parts]), widths.pop())
+
+    @property
+    def shape(self) -> tuple:
+        return (self.bits.shape[0], self.width)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        return np.unpackbits(self.bits[idx], axis=-1, count=self.width)
+
+
 @dataclass
 class ColorEnvironment:
-    """A COLOR environment as held: each row's source image and its colour bit.
+    """A COLOR environment as held: each row's source image, packed, and its colour bit.
 
     A row's dense H*W*3 features hold its image in the red channel (0) when
     its bit is 1, in the green channel (1) when it is 0, zero elsewhere. Only
     rows read are built: indexing builds those rows, as indexing the dense
     array (whose shape and dtype these are) would; `features` builds all.
+    The images are given as (n, H*W) 0/1 masks, packed on construction, or
+    as PackedMasks, held as they are; `masks` unpacks them all.
     """
 
-    masks: np.ndarray  # (n, H*W), uint8 0/1
+    packed: PackedMasks
     labels: np.ndarray  # (n,), int
     spurious_bits: np.ndarray  # (n,), 1 red, 0 green
     env_id: str
     flip_prob: float
 
+    def __post_init__(self):
+        if not isinstance(self.packed, PackedMasks):
+            masks = np.asarray(self.packed)
+            if masks.ndim != 2 or not np.isin(masks, (0, 1)).all():
+                raise ValueError("masks must be (n, height*width) with 0/1 pixels")
+            bits = np.packbits(masks.astype(np.uint8, copy=False), axis=1)
+            self.packed = PackedMasks(bits, masks.shape[1])
+        if not np.isin(self.spurious_bits, (0, 1)).all():
+            raise ValueError("colour bits must be 0 (green) or 1 (red)")
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self.packed[:]
+
     @property
     def shape(self) -> tuple:
-        return (self.masks.shape[0], 3 * self.masks.shape[1])
+        return (self.packed.shape[0], 3 * self.packed.width)
 
     @property
     def dtype(self) -> np.dtype:
-        return self.masks.dtype
+        return self.packed.dtype
 
     @property
     def features(self) -> np.ndarray:
         return self[:]
 
     def __getitem__(self, idx) -> np.ndarray:
-        masks, bits = self.masks[idx], self.spurious_bits[idx]
-        rgb = np.zeros((*masks.shape, 3), masks.dtype)
-        np.multiply(masks, (bits == 1)[:, None], out=rgb[:, :, 0])
-        np.multiply(masks, (bits == 0)[:, None], out=rgb[:, :, 1])
-        return rgb.reshape(masks.shape[0], 3 * masks.shape[1])
+        """The dense rows idx, each packed byte looked up as its 24 dense bytes.
+
+        The rows are built _UNPACK_ROWS at a time straight into the result;
+        a width that is not a multiple of 8 is cut from the padded rows, as
+        a view.
+        """
+        rows, bits = self.packed.bits[idx], self.spurious_bits[idx]
+        if rows.ndim == 1:  # one row, by an integer
+            return self[[idx]][0]
+        offset = 256 * bits.astype(np.intp)[:, None]
+        dense = np.empty((*rows.shape, 24), np.uint8)
+        for lo in range(0, rows.shape[0], _UNPACK_ROWS):
+            at = slice(lo, lo + _UNPACK_ROWS)
+            index = rows[at].astype(np.intp)
+            index += offset[at]  # in place, so the chunk holds one index array
+            np.take(_DENSE_BYTES, index, axis=0, out=dense[at], mode="clip")
+        return dense.reshape(rows.shape[0], 24 * rows.shape[1])[:, : 3 * self.packed.width]
 
 
 @dataclass
@@ -98,7 +168,7 @@ class Benchmark:
     """Training environments and a held-out test split; grayscale oracle splits on use.
 
     oracle_env (the training rows) and oracle_test (the test rows) train and
-    score the oracle baseline: each is the masks stacked in order, built on
+    score the oracle baseline: each is the masks unpacked in order, built on
     its first read and then kept.
     """
 
@@ -115,9 +185,9 @@ class Benchmark:
 
 
 def _grayscale(envs, env_id: str) -> EnvironmentDataset:
-    """The masks of COLOR environments stacked in order, with their labels and bits."""
+    """The masks of COLOR environments unpacked in order, with their labels and bits."""
     return EnvironmentDataset(
-        np.vstack([e.masks for e in envs]),
+        PackedMasks.stacked([e.packed for e in envs])[:],
         np.concatenate([e.labels for e in envs]),
         np.concatenate([e.spurious_bits for e in envs]),
         env_id,
@@ -138,11 +208,17 @@ def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
     shape gets only its own label's mask, built by broadcasting over
     _SHAPE_CHUNK shapes of that label at a time.
     """
-    return _shapes(n, height, width, rng, slice(None))
+    images, labels = _shapes(n, height, width, rng, slice(None), pack=False)
+    return LabeledImages(images, labels, height, width)
 
 
-def _shapes(n: int, height: int, width: int, rng: Rng, order) -> LabeledImages:
-    """synth_shapes' n shapes with shape order[i] as row i, each image built in its row."""
+def _shapes(n: int, height: int, width: int, rng: Rng, order, pack: bool):
+    """(images, labels) of synth_shapes' n shapes with shape order[i] as row i.
+
+    Each image is built in its row: (n, H*W) uint8 0/1 masks, or with pack
+    set their np.packbits rows (PackedMasks), packed a chunk at a time so
+    that no dense copy of every image is made.
+    """
     if height < 16 or width < 16:
         raise ValueError("canvas must be at least 16x16")
     labels = rng.child("class").integers(0, 2, size=n).astype(np.int64)[order]
@@ -153,7 +229,8 @@ def _shapes(n: int, height: int, width: int, rng: Rng, order) -> LabeledImages:
     r = min_r + (max_r - min_r) * u[:, 0]
     cy = r + (height - 1 - r - r) * u[:, 1]
     cx = r + (width - 1 - r - r) * u[:, 2]
-    images = np.zeros((n, height, width), dtype=np.uint8)
+    pixels = height * width
+    images = np.zeros((n, -(-pixels // 8) if pack else pixels), dtype=np.uint8)
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
     for label in (0, 1):
@@ -162,10 +239,12 @@ def _shapes(n: int, height: int, width: int, rng: Rng, order) -> LabeledImages:
             at = rows[lo : lo + _SHAPE_CHUNK]
             rr, dy, dx = r[at, None, None], ys - cy[at, None, None], xs - cx[at, None, None]
             if label == 0:
-                images[at] = dy**2 + dx**2 <= rr * rr
+                mask = dy**2 + dx**2 <= rr * rr
             else:
-                images[at] = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
-    return LabeledImages(images.reshape(n, height * width), labels, height, width)
+                mask = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
+            mask = mask.reshape(at.size, pixels)
+            images[at] = np.packbits(mask, axis=1) if pack else mask
+    return (PackedMasks(images, pixels) if pack else images), labels
 
 
 def make_spurious_env(
@@ -177,19 +256,24 @@ def make_spurious_env(
 ) -> ColorEnvironment:
     """Attach label noise and a spurious color channel to a grayscale source.
 
-    Row order is preserved, and the environment holds the source images
-    themselves as its masks, with each row's colour bit z (red when z=1,
-    green when z=0). mode must be "COLOR", the only spurious channel; the
-    argument stays because callers, acceptance criterion 8 among them, pass it.
+    Row order is preserved, and the environment holds the source images,
+    packed, as its masks, with each row's colour bit z (red when z=1, green
+    when z=0). mode must be "COLOR", the only spurious channel; the argument
+    stays because callers, acceptance criterion 8 among them, pass it.
     """
+    return _spurious_env(src.images, src.prelim_labels, p_e, mode, rng, env_id)
+
+
+def _spurious_env(masks, prelim_labels, p_e, mode, rng, env_id) -> ColorEnvironment:
+    """make_spurious_env on masks (0/1 or PackedMasks) and their preliminary labels."""
     if mode != "COLOR":
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 <= p_e <= 1.0:
         raise ValueError("p_e must be a probability")
-    n = src.images.shape[0]
-    y = src.prelim_labels ^ (rng.child("label_noise").random(n) < LABEL_NOISE)
+    n = prelim_labels.shape[0]
+    y = prelim_labels ^ (rng.child("label_noise").random(n) < LABEL_NOISE)
     z = y ^ (rng.child("spurious").random(n) < p_e)
-    return ColorEnvironment(src.images, y.astype(np.int64), z.astype(np.int64), env_id, float(p_e))
+    return ColorEnvironment(masks, y.astype(np.int64), z.astype(np.int64), env_id, float(p_e))
 
 
 def make_benchmark(
@@ -216,15 +300,17 @@ def make_benchmark(
         raise ValueError("sizes and flip_probs must have equal length")
     total = int(sum(sizes))
     rng = Rng(seed)
-    # the shapes are built in split order, so each environment's images are
-    # one run of rows of a single array: every image is held once, uncopied
-    src = _shapes(total, height, width, rng.child("shapes"), rng.child("split").permutation(total))
+    # the shapes are built in split order into one packed array, so each
+    # environment's images are one run of its rows: every image is held once
+    order = rng.child("split").permutation(total)
+    packed, labels = _shapes(total, height, width, rng.child("shapes"), order, pack=True)
     bounds = np.cumsum([0, *sizes])
     envs = []
     for i, p_e in enumerate(flip_probs):
         env_id = "test" if i == len(sizes) - 1 else f"env{i}"
-        part = src.take(slice(bounds[i], bounds[i + 1]))
-        envs.append(make_spurious_env(part, p_e, "COLOR", rng.child(env_id), env_id))
+        part = slice(bounds[i], bounds[i + 1])
+        masks = PackedMasks(packed.bits[part], packed.width)
+        envs.append(_spurious_env(masks, labels[part], p_e, "COLOR", rng.child(env_id), env_id))
     return Benchmark(envs[:-1], envs[-1])
 
 

@@ -261,7 +261,7 @@ def _joined(arrays) -> np.ndarray:
 
 def _source(dataset):
     """A dataset's rows, indexed like an array: a COLOR environment builds only those indexed."""
-    return dataset if hasattr(dataset, "masks") else dataset.features
+    return dataset if hasattr(dataset, "packed") else dataset.features
 
 
 def _take(features, bounds, idx: np.ndarray) -> np.ndarray:
@@ -293,11 +293,12 @@ def _row_keys(x) -> np.ndarray:
     binary COLORED_SHAPES pixels) every sum is exact and equal rows get equal
     keys whatever order BLAS adds in. Distinct rows may share a key; the
     caller checks the grouping exactly. Rows are widened to float64
-    _BLOCK_ROWS at a time; a COLOR environment's from their masks, each by
-    its colour's channel of the probe, the same exact sum as its dense row's.
+    _BLOCK_ROWS at a time; a COLOR environment's from their unpacked masks,
+    each by its colour's channel of the probe, the same exact sum as its
+    dense row's.
     """
     probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1]).astype(np.float64)
-    rows = getattr(x, "masks", x)
+    rows = getattr(x, "packed", x)
     if rows is not x:  # one column per colour bit: 0 green (channel 1), 1 red (channel 0)
         probe = np.stack([probe[1::3], probe[0::3]], axis=1)
     keys = np.empty(x.shape[0])
@@ -339,23 +340,24 @@ def _groups(features, keep: np.ndarray):
 
     COLOR rows group by their declared colour: a red row (bit 1) lights only
     channel 0 of its pixels, a green row channel 1, so a colour's columns are
-    3 * pixel + channel for the pixels its rows light, its slab read from the
-    masks cut to those pixels; the lower first lit pixel goes first, red on a
-    tie. Other rows are one group on the columns they light (None: all).
+    3 * pixel + channel for the pixels its rows light (the packed rows of
+    the colour OR-ed, then unpacked), its slab read from the masks cut to
+    those pixels; the lower first lit pixel goes first, red on a tie. Other
+    rows are one group on the columns they light (None: all).
     """
-    if not all(hasattr(x, "masks") for x in features):
+    if not all(hasattr(x, "packed") for x in features):
         lit = np.zeros(features[0].shape[1], bool)
         for _, block in _blocks(features, keep):
             lit |= (block != 0).any(axis=0)
         columns = None if lit.all() else np.flatnonzero(lit)
         return np.zeros(keep.size, np.intp), [(columns, features, columns)]
-    masks = [x.masks for x in features]
+    masks = [x.packed for x in features]
     colour = (_joined([x.spurious_bits for x in features])[keep] == 0).astype(np.intp)  # 0 red, 1 green
-    lit = np.zeros((2, masks[0].shape[1]), bool)
-    for at, block in _blocks(masks, keep):
+    lit = np.zeros((2, masks[0].bits.shape[1]), np.uint8)
+    for at, block in _blocks([m.bits for m in masks], keep):
         rows = colour[at : at + block.shape[0]]
-        lit |= [block[rows == c].any(axis=0) for c in (0, 1)]
-    pixels = [np.flatnonzero(on) for on in lit]
+        lit |= [np.bitwise_or.reduce(block[rows == c], axis=0) for c in (0, 1)]
+    pixels = [np.flatnonzero(on) for on in np.unpackbits(lit, axis=1, count=masks[0].width)]
     present = sorted(np.unique(colour), key=lambda c: pixels[c][0] if pixels[c].size else math.inf)
     group = colour if present[0] == 0 else 1 - colour
     return group, [(3 * pixels[c] + c, masks, pixels[c]) for c in present]

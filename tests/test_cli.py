@@ -286,6 +286,22 @@ def test_a_run_never_reads_a_colour_environments_dense_features(tmp_path, monkey
         assert last.split(",")[-1] != "", method
 
 
+def test_a_run_never_unpacks_a_colour_environments_whole_masks(tmp_path, monkeypatch):
+    # every reader of the packed images (training batches, the trace pool,
+    # the oracle splits) unpacks only the rows it reads, block by block
+    def whole(env):
+        raise AssertionError(f"masks of {env.env_id} unpacked whole")
+
+    monkeypatch.setattr(datasets.ColorEnvironment, "masks", property(whole))
+    path = _write_config(tmp_path, methods=["F_IRM", "V_IRM", "ERM", "ROBUST", "ORACLE"])
+    cfg = load_config(path, preset="desk")
+    cfg.sizes, cfg.baseline_iters = (200, 200, 200), 10
+    cfg.train = dataclasses.replace(cfg.train, max_iters=4, test_every=2,
+                                    termination=TerminationRule(enabled=False))
+    results = cli.run_experiment(cfg, out_dir=str(tmp_path / "out"))
+    assert sorted(results) == sorted(["F_IRM", "V_IRM", "ERM", "ROBUST", "ORACLE"])
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
     | st.floats() | st.text(max_size=6)

@@ -3,9 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from eirm import datasets
+from eirm.baselines import pool_environments
 from eirm.core import Rng
 from eirm.datasets import (
     DEFAULT_FLIP_PROBS,
+    ColorEnvironment,
     SemSpec,
     make_benchmark,
     make_linear_sem,
@@ -161,13 +163,14 @@ def test_make_benchmark_holds_each_image_at_most_twice(peak_bytes):
     peak = peak_bytes(lambda: benches.append(make_benchmark("COLORED_SHAPES", sizes, 0)))
     b = benches[0]
     images = sum(sizes) * 16 * 16  # one uint8 copy of every image
-    # every environment holds its images once, as masks with a colour bit,
-    # and the shapes are built in split order, so no image is ever copied; a
-    # grayscale copy is made only when the oracle is read
+    held = sum(sizes) * -(-16 * 16 // 8)  # every image packed, ceil(H*W / 8) bytes
+    # every environment holds its images once, as packed masks with a colour
+    # bit, and the shapes are built in split order, so no image is ever
+    # copied; a grayscale copy is made only when the oracle is read
     envs = (*b.train_envs, b.test_env)
-    assert sum(env.masks.nbytes for env in envs) == images
-    base = b.test_env.masks.base  # one array of every image, in split order
-    assert base.nbytes == images and all(env.masks.base is base for env in envs)
+    assert sum(env.packed.bits.nbytes for env in envs) == held
+    base = b.test_env.packed.bits.base  # one array of every packed image, in split order
+    assert base.nbytes == held and all(env.packed.bits.base is base for env in envs)
     assert peak < 2 * images
     assert "oracle_env" not in vars(b) and "oracle_test" not in vars(b)
 
@@ -184,6 +187,106 @@ def test_reading_features_builds_only_the_dense_rows(peak_bytes):
     assert env[idx].tobytes() == features[idx].tobytes()
     assert env[10:20].tobytes() == features[10:20].tobytes()
     assert env[np.arange(0)].shape == (0, 768)
+
+
+def _source_rows(sizes, seed, height, width):
+    """Each environment's (source images, dense rows) as built without packing."""
+    rng = Rng(seed)
+    src = synth_shapes(sum(sizes), height, width, rng.child("shapes"))
+    rows = np.split(rng.child("split").permutation(sum(sizes)), np.cumsum(sizes)[:-1])
+    bench = make_benchmark("COLORED_SHAPES", sizes, seed, height=height, width=width)
+    out = []
+    for r, env in zip(rows, (*bench.train_envs, bench.test_env)):
+        images, red = src.images[r], env.spurious_bits == 1
+        dense = np.zeros((r.size, height * width, 3), np.uint8)
+        dense[red, :, 0] = images[red]
+        dense[~red, :, 1] = images[~red]
+        out.append((images, dense.reshape(r.size, -1)))
+    return bench, out
+
+
+# 16 * 16 pixels pack into whole bytes; 20 * 17 = 340 leave 4 pad bits a row
+PACKED_CANVASES = [(16, 16), (20, 17)]
+
+
+@pytest.mark.parametrize("height,width", PACKED_CANVASES)
+def test_packed_environments_read_as_their_dense_rows(height, width):
+    sizes = (300, 200, 150)
+    bench, sources = _source_rows(sizes, 4, height, width)
+    n_bytes = -(-height * width // 8)
+    rng = np.random.default_rng(0)
+    for env, (images, dense) in zip((*bench.train_envs, bench.test_env), sources):
+        n = images.shape[0]
+        assert env.packed.bits.shape == (n, n_bytes) and env.packed.bits.dtype == np.uint8
+        assert env.shape == dense.shape and env.dtype == dense.dtype
+        assert env.masks.dtype == np.uint8 and env.masks.tobytes() == images.tobytes()
+        assert env.features.dtype == np.uint8 and env.features.tobytes() == dense.tobytes()
+        indexes = [
+            rng.integers(0, n, 300),  # repeats, more rows than one unpack chunk
+            np.array([-1, 0, n - 1, 5, 5]),
+            np.arange(0),
+            slice(None),
+            slice(10, 20),
+            slice(None, None, -3),
+            slice(n - 5, None),
+            rng.random(n) < 0.4,
+            0,
+            -1,
+            np.int64(n // 2),
+        ]
+        for idx in indexes:
+            assert env[idx].shape == dense[idx].shape, idx
+            assert env[idx].tobytes() == dense[idx].tobytes(), idx
+            assert env.packed[idx].tobytes() == images[idx].tobytes(), idx
+
+
+@pytest.mark.parametrize("height,width", PACKED_CANVASES)
+def test_a_single_row_reads_as_the_features_row(height, width):
+    env = make_benchmark("COLORED_SHAPES", (40, 10, 10), 1, height=height, width=width).train_envs[0]
+    features = env.features
+    for i in (0, -1, 7):
+        assert env[i].shape == (3 * height * width,)
+        assert env[i].tobytes() == features[i].tobytes(), i
+
+
+@pytest.mark.parametrize("height,width", PACKED_CANVASES)
+def test_pooled_packed_environments_read_as_the_stacked_rows(height, width):
+    bench, sources = _source_rows((120, 90, 60), 2, height, width)
+    envs = [*bench.train_envs, bench.test_env]
+    pooled = pool_environments(envs)
+    assert isinstance(pooled, ColorEnvironment)
+    assert pooled.packed.bits.shape == (270, -(-height * width // 8))
+    assert pooled.masks.tobytes() == np.vstack([i for i, _ in sources]).tobytes()
+    assert pooled.features.tobytes() == np.vstack([d for _, d in sources]).tobytes()
+    assert pooled.labels.tobytes() == np.concatenate([e.labels for e in envs]).tobytes()
+    assert pooled.spurious_bits.tobytes() == np.concatenate([e.spurious_bits for e in envs]).tobytes()
+    other = make_benchmark("COLORED_SHAPES", (10, 10, 10), 2, height=height + 1, width=width)
+    with pytest.raises(ValueError, match="widths"):
+        pool_environments([envs[0], other.test_env])
+
+
+@pytest.mark.parametrize("height,width", PACKED_CANVASES)
+def test_oracle_splits_unpack_the_packed_rows(height, width):
+    bench, sources = _source_rows((120, 90, 60), 3, height, width)
+    images = [i for i, _ in sources]
+    assert bench.oracle_env.features.tobytes() == np.vstack(images[:-1]).tobytes()
+    assert bench.oracle_test.features.tobytes() == images[-1].tobytes()
+    assert bench.oracle_env.features.shape == (210, height * width)
+
+
+def test_color_environment_packs_hand_built_masks():
+    masks = np.zeros((3, 20), np.uint8)
+    masks[0, [0, 19]] = masks[2, 9] = 1
+    bits = np.array([1, 0, 0])
+    for given in (masks, masks.astype(bool), masks.astype(np.float64)):
+        env = ColorEnvironment(given, np.zeros(3, np.int64), bits, "hand", 0.1)
+        assert env.packed.bits.shape == (3, 3)
+        assert env.masks.tobytes() == masks.tobytes()
+        assert env[0].reshape(20, 3)[:, 0].tolist() == masks[0].tolist()
+        assert env[2].reshape(20, 3)[:, 1].tolist() == masks[2].tolist()
+    for bad in (2 * masks, masks[0], masks - 0.5):
+        with pytest.raises(ValueError, match="0/1"):
+            ColorEnvironment(bad, np.zeros(3, np.int64), bits, "bad", 0.1)
 
 
 def test_make_benchmark_builds_no_float64_copy(peak_bytes):
