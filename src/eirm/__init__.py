@@ -21,7 +21,6 @@ from .datasets import (
     ColorEnvironment,
     EnvironmentDataset,
     LabeledImages,
-    PackedMasks,
     SemSpec,
     make_benchmark,
     make_linear_sem,

@@ -58,16 +58,7 @@ class EnvironmentDataset:
     flip_prob: float
 
 
-_UNPACK_ROWS = 64  # rows unpacked at a time, so a read of many rows holds one small index chunk
-
-# _DENSE_BYTES[256 * bit + byte]: the dense features of the 8 pixels one
-# packed byte holds, pixel by pixel (red, green, blue), lit in red (channel
-# 0) for colour bit 1 and in green (channel 1) for colour bit 0
-_DENSE_BYTES = np.zeros((2, 256, 8, 3), np.uint8)
-_DENSE_BYTES[1, :, :, 0] = _DENSE_BYTES[0, :, :, 1] = np.unpackbits(
-    np.arange(256, dtype=np.uint8)[:, None], axis=1
-)
-_DENSE_BYTES = _DENSE_BYTES.reshape(512, 24)
+_UNPACK_ROWS = 128  # rows unpacked at a time, so a read of many rows holds one small chunk
 
 
 @dataclass(frozen=True)
@@ -144,23 +135,17 @@ class ColorEnvironment:
         return self[:]
 
     def __getitem__(self, idx) -> np.ndarray:
-        """The dense rows idx, each packed byte looked up as its 24 dense bytes.
-
-        The rows are built _UNPACK_ROWS at a time straight into the result;
-        a width that is not a multiple of 8 is cut from the padded rows, as
-        a view.
-        """
         rows, bits = self.packed.bits[idx], self.spurious_bits[idx]
         if rows.ndim == 1:  # one row, by an integer
             return self[[idx]][0]
-        offset = 256 * bits.astype(np.intp)[:, None]
-        dense = np.empty((*rows.shape, 24), np.uint8)
-        for lo in range(0, rows.shape[0], _UNPACK_ROWS):
+        rows, n, width = PackedMasks(rows, self.packed.width), rows.shape[0], self.packed.width
+        rgb = np.zeros((n, width, 3), np.uint8)
+        for lo in range(0, n, _UNPACK_ROWS):  # unpacked a chunk at a time into the result
             at = slice(lo, lo + _UNPACK_ROWS)
-            index = rows[at].astype(np.intp)
-            index += offset[at]  # in place, so the chunk holds one index array
-            np.take(_DENSE_BYTES, index, axis=0, out=dense[at], mode="clip")
-        return dense.reshape(rows.shape[0], 24 * rows.shape[1])[:, : 3 * self.packed.width]
+            masks = rows[at]
+            np.multiply(masks, (bits[at] == 1)[:, None], out=rgb[at, :, 0])
+            np.multiply(masks, (bits[at] == 0)[:, None], out=rgb[at, :, 1])
+        return rgb.reshape(n, 3 * width)
 
 
 @dataclass
@@ -208,16 +193,15 @@ def synth_shapes(n: int, height: int, width: int, rng: Rng) -> LabeledImages:
     shape gets only its own label's mask, built by broadcasting over
     _SHAPE_CHUNK shapes of that label at a time.
     """
-    images, labels = _shapes(n, height, width, rng, slice(None), pack=False)
-    return LabeledImages(images, labels, height, width)
+    packed, labels = _shapes(n, height, width, rng, slice(None))
+    return LabeledImages(packed[:], labels, height, width)
 
 
-def _shapes(n: int, height: int, width: int, rng: Rng, order, pack: bool):
-    """(images, labels) of synth_shapes' n shapes with shape order[i] as row i.
+def _shapes(n: int, height: int, width: int, rng: Rng, order):
+    """(PackedMasks, labels) of synth_shapes' n shapes with shape order[i] as row i.
 
-    Each image is built in its row: (n, H*W) uint8 0/1 masks, or with pack
-    set their np.packbits rows (PackedMasks), packed a chunk at a time so
-    that no dense copy of every image is made.
+    Each image is packed into its row a chunk of shapes at a time, so no
+    dense copy of every image is made.
     """
     if height < 16 or width < 16:
         raise ValueError("canvas must be at least 16x16")
@@ -230,7 +214,7 @@ def _shapes(n: int, height: int, width: int, rng: Rng, order, pack: bool):
     cy = r + (height - 1 - r - r) * u[:, 1]
     cx = r + (width - 1 - r - r) * u[:, 2]
     pixels = height * width
-    images = np.zeros((n, -(-pixels // 8) if pack else pixels), dtype=np.uint8)
+    images = np.zeros((n, -(-pixels // 8)), dtype=np.uint8)
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
     for label in (0, 1):
@@ -242,9 +226,8 @@ def _shapes(n: int, height: int, width: int, rng: Rng, order, pack: bool):
                 mask = dy**2 + dx**2 <= rr * rr
             else:
                 mask = (np.abs(dy) <= rr) & (np.abs(dx) <= rr)
-            mask = mask.reshape(at.size, pixels)
-            images[at] = np.packbits(mask, axis=1) if pack else mask
-    return (PackedMasks(images, pixels) if pack else images), labels
+            images[at] = np.packbits(mask.reshape(at.size, pixels), axis=1)
+    return PackedMasks(images, pixels), labels
 
 
 def make_spurious_env(
@@ -303,7 +286,7 @@ def make_benchmark(
     # the shapes are built in split order into one packed array, so each
     # environment's images are one run of its rows: every image is held once
     order = rng.child("split").permutation(total)
-    packed, labels = _shapes(total, height, width, rng.child("shapes"), order, pack=True)
+    packed, labels = _shapes(total, height, width, rng.child("shapes"), order)
     bounds = np.cumsum([0, *sizes])
     envs = []
     for i, p_e in enumerate(flip_probs):
