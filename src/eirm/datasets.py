@@ -138,7 +138,8 @@ class ColorEnvironment:
         rows, bits = self.packed.bits[idx], self.spurious_bits[idx]
         if rows.ndim == 1:  # one row, by an integer
             return self[[idx]][0]
-        rows, n, width = PackedMasks(rows, self.packed.width), rows.shape[0], self.packed.width
+        n, width = rows.shape[0], self.packed.width
+        rows = PackedMasks(rows, width)
         rgb = np.zeros((n, width, 3), np.uint8)
         for lo in range(0, n, _UNPACK_ROWS):  # unpacked a chunk at a time into the result
             at = slice(lo, lo + _UNPACK_ROWS)
