@@ -25,9 +25,9 @@ def as_ensemble(model: nn.Mlp) -> EnsembleModel:
 def pool_environments(datasets):
     """The datasets' rows in order as one dataset; a lone dataset is returned as it is.
 
-    COLOR environments pool into one, their packed masks stacked. For evaluation on
-    the pooled rows. No trainer calls it: train_erm passes its datasets to
-    the game loop as one pooled player, which never stacks their rows.
+    COLOR environments pool into one, their packed masks stacked, so no dense
+    row is built; other datasets' features are vstacked. train_erm trains on
+    the pooled dataset, and evaluation reads the pooled rows.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
@@ -47,16 +47,14 @@ def train_erm(datasets, config: TrainConfig, test_env=None):
     """Single classifier minimizing mean loss on the pooled rows via Adam.
 
     Runs the fixed step budget from config (no termination rule); an
-    ensemble of one played for max_iters turns is exactly that. The datasets
-    are its one player, so their rows are pooled in order without a copy.
+    ensemble of one played for max_iters turns is exactly that. Its one
+    player is the datasets pooled in order (pool_environments).
     """
-    if not datasets:
-        raise ValueError("need at least one dataset")
     cfg = dataclasses.replace(
         config, termination=TerminationRule(enabled=False)
     )
     model, trace = best_response_train(
-        [list(datasets)], cfg, test_env=test_env, trace_owner="erm"
+        [pool_environments(list(datasets))], cfg, test_env=test_env, trace_owner="erm"
     )
     return model.classifiers[0], trace
 

@@ -428,49 +428,37 @@ def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
     return nn.Mlp([replace(first, weights=first.weights[columns]), *net.layers[1:]])
 
 
-def _parts(player) -> list:
-    """The datasets of one player: a list of datasets pooled in order, or one dataset."""
-    return player if isinstance(player, list) else [player]
-
-
 def _player_data(envs, loss: Loss) -> list:
-    """Each player's (features, targets): its features one row source (_source) or,
-    for a pooled player, the list of its datasets' sources; its targets one array."""
-    return [
-        ([_source(d) for d in parts] if len(parts) > 1 else _source(parts[0]),
-         _joined([loss.targets(d) for d in parts]))
-        for parts in map(_parts, envs)
-    ]
+    """Each player's (row source (_source), targets)."""
+    return [(_source(d), loss.targets(d)) for d in envs]
 
 
 class TraceRecorder:
     """Full-data diagnostics of one training call, one trace row per model state.
 
     Built once per call, it pools every player's rows (a player is one
-    dataset, or ERM's list of datasets pooled in order) and then the test
-    split's, each distinct row once (_distinct_pool): training rows as
-    `features`, test rows no training row equals as `tail`, both Slabs that a
-    network runs with the matching rows of its first layer's weights. `rows`
-    and `test_rows` give each pooled training and test row's pool row (None
-    when in order); outputs are gathered back through them. A row reruns only
-    the networks whose parameters or input changed since the previous row; a
-    test step runs every network on `tail` alone. Each pass is one
-    `nn.predict_parts` call, made from these methods, not from a public game
-    function, so profilers see it as a direct child of the training call.
-    `data` holds each player's (features, targets), as `_player_data` builds
-    them.
+    dataset) and then the test split's, each distinct row once
+    (_distinct_pool): training rows as `features`, test rows no training row
+    equals as `tail`, both Slabs that a network runs with the matching rows
+    of its first layer's weights. `rows` and `test_rows` give each pooled
+    training and test row's pool row (None when in order); outputs are
+    gathered back through them. A row reruns only the networks whose
+    parameters or input changed since the previous row; a test step runs
+    every network on `tail` alone. Each pass is one `nn.predict_parts` call,
+    made from these methods, not from a public game function, so profilers
+    see it as a direct child of the training call. `data` holds each
+    player's (row source, targets), as `_player_data` builds them.
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
         self.loss = Loss(loss)
-        players = [_parts(p) for p in envs]
         self.data = _player_data(envs, self.loss)
         self.targets = _joined([y for _, y in self.data])
-        bits = [getattr(d, "spurious_bits", None) for parts in players for d in parts]
+        bits = [getattr(d, "spurious_bits", None) for d in envs]
         self.bits = _joined(bits) if all(b is not None for b in bits) else None
         bounds = np.cumsum([0] + [y.shape[0] for _, y in self.data])
         self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        features = [_source(d) for parts in players for d in parts]
+        features = [x for x, _ in self.data]
         tests = [] if test_env is None else [_source(test_env)]
         n = bounds[-1]
         self.features, self.tail, rows = _distinct_pool(features + tests, n)
@@ -536,15 +524,12 @@ class TraceRecorder:
 class _Batcher:
     """Batches of one player's rows in a shuffled order, reshuffled per epoch.
 
-    x is one row source (an array, or a COLOR environment that builds only
-    the rows of each batch), or a pooled player's list of them: its batches
-    are drawn from the sources directly, bit for bit the rows of their vstack.
+    x is the player's row source: an array, or a COLOR environment that
+    builds only the rows of each batch.
     """
 
     def __init__(self, x, y: np.ndarray, batch_size: int, rng: Rng):
-        self.parts = x if isinstance(x, list) else [x]
-        self.bounds = np.cumsum([0] + [p.shape[0] for p in self.parts])
-        self.y, self.n = y, int(self.bounds[-1])
+        self.x, self.y, self.n = x, y, x.shape[0]
         self.batch_size = min(batch_size, self.n)
         self.rng = rng
         self.order = rng.permutation(self.n)
@@ -557,7 +542,7 @@ class _Batcher:
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.batch_size]
         self.pos += self.batch_size
-        return _take(self.parts, self.bounds, idx), self.y[idx]
+        return self.x[idx], self.y[idx]
 
 
 def env_turn(model: EnsembleModel, e: int, batch_x, batch_y, opt: nn.AdamState,
@@ -696,20 +681,16 @@ def play(envs, config: TrainConfig, mode: str = FIXED_PHI, model: EnsembleModel 
     has one classifier, and each iteration is one robust_turn over a batch of
     every environment. A model passed in must have this many classifiers, and
     a representation network if the mode is VARIABLE_PHI; both are checked
-    here, before any turn. Each entry of envs is one player: a dataset, or a
-    list of datasets whose rows are pooled in order without being copied into
-    one array.
+    here, before any turn. Each entry of envs is one player, one dataset.
     """
     if not envs:
         raise ValueError("need at least one environment")
-    players = [_parts(p) for p in envs]
-    if any(sum(_source(d).shape[0] for d in parts) == 0 for parts in players):
+    if any(_source(d).shape[0] == 0 for d in envs):
         raise ValueError("empty environment")
     rng = Rng(config.seed)
     n_classifiers = 1 if mode == ROBUST else len(envs)
     if model is None:
-        model = build_ensemble([parts[0] for parts in players[:n_classifiers]], config, mode,
-                               rng.child("init"))
+        model = build_ensemble(envs[:n_classifiers], config, mode, rng.child("init"))
     elif model.n_envs != n_classifiers:
         raise ValueError(f"model has {model.n_envs} classifiers, the game needs {n_classifiers}")
     elif mode == VARIABLE_PHI and model.representation is None:

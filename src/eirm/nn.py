@@ -135,10 +135,10 @@ def _activate(pre: np.ndarray, kind: str, out: np.ndarray = None) -> np.ndarray:
     return np.maximum(out, pre, out=out)
 
 
-def _activate_grad(pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _activate_grad(post: np.ndarray) -> np.ndarray:
     # The ELU gradient alone: backward skips linear layers, whose gradient is 1.
     # post is post-dropout here: a kept negative unit gets (e^x - 1)/keep + alpha, not alpha e^x.
-    # fmin(post, 0) + alpha, no boolean mask: where pre < 0, post <= 0 (alpha >= 0), so it
+    # fmin(post, 0) + alpha, no boolean mask: where x < 0, post <= 0 (alpha >= 0), so it
     # is post + alpha; elsewhere post >= 0 or NaN (fmin drops NaN), so it is alpha, i.e. 1.
     grad = np.fmin(post, 0.0)
     grad += ELU_ALPHA
@@ -294,7 +294,7 @@ def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = No
             keep = 1.0 - layer.dropout_rate
             mask = (rng.child(f"drop{i}").random(post.shape) < keep) / keep
             post = post * mask
-        cache.append({"x": x, "pre": pre, "post": post, "mask": mask})
+        cache.append({"x": x, "post": post, "mask": mask})
         x = post
     return x, cache
 
@@ -332,7 +332,7 @@ def backward(net: Mlp, cache: list, dlogits: np.ndarray, input_grad: bool = Fals
         if c["mask"] is not None:
             d = d * c["mask"]
         if layer.activation != "linear":
-            d = d * _activate_grad(c["pre"], c["post"])
+            d = d * _activate_grad(c["post"])
         grads[2 * i] = c["x"].T @ d
         grads[2 * i] += 2.0 * layer.l2_coeff * layer.weights
         grads[2 * i + 1] = d.sum(axis=0)

@@ -7,7 +7,7 @@ import pytest
 from eirm import nn
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.core import Rng
-from eirm.datasets import EnvironmentDataset, make_benchmark
+from eirm.datasets import ColorEnvironment, EnvironmentDataset, make_benchmark
 from eirm.game import (
     CROSS_ENTROPY,
     FIXED_PHI,
@@ -45,14 +45,15 @@ def test_pool_environments_concatenates_in_order():
 
 
 def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns(unslabbed):
-    # ERM's datasets are one player: its rows are pooled without a vstack (the
-    # COLOR environments themselves are its parts, so no dense row is built),
-    # and its diagnostics pool holds each distinct row once on the lit columns
+    # ERM's one player is its datasets pooled: a COLOR environment, so no dense
+    # row is built, and its diagnostics pool holds each distinct row once on the
+    # lit columns
     bench = make_benchmark("COLORED_SHAPES", (100, 100, 100), 0)
     envs, test = bench.train_envs, bench.test_env.features
-    recorder = TraceRecorder([envs], CROSS_ENTROPY, bench.test_env, 10)
-    parts, targets = recorder.data[0]
-    assert [x is env for x, env in zip(parts, envs, strict=True)] == [True, True]
+    pooled = pool_environments(envs)
+    recorder = TraceRecorder([pooled], CROSS_ENTROPY, bench.test_env, 10)
+    source, targets = recorder.data[0]
+    assert source is pooled and isinstance(source, ColorEnvironment)
     full = np.vstack([env.features for env in envs])
     width = full.shape[1]
     assert recorder.features.shape[0] == len(np.unique(full, axis=0)) < full.shape[0]
@@ -63,27 +64,19 @@ def test_erm_recorder_holds_each_distinct_row_once_on_the_lit_columns(unslabbed)
     pool = np.vstack([unslabbed(recorder.features, width), unslabbed(recorder.tail, width)])
     npt.assert_array_equal(pool[recorder.rows], full)
     npt.assert_array_equal(pool[recorder.test_rows], test)
-    npt.assert_array_equal(targets, pool_environments(envs).labels)
-    npt.assert_array_equal(recorder.bits, pool_environments(envs).spurious_bits)
+    npt.assert_array_equal(targets, np.concatenate([env.labels for env in envs]))
+    npt.assert_array_equal(recorder.bits, np.concatenate([env.spurious_bits for env in envs]))
     assert recorder.slices == [slice(0, full.shape[0])]
 
 
-def test_erm_on_pooled_equals_erm_on_parts(monkeypatch):
+def test_erm_on_pooled_equals_erm_on_parts():
     # pooling two environments by hand or letting train_erm pool them must give
-    # identical parameters (same seed drives the same batch stream) and trace rows;
-    # train_erm itself never stacks the datasets' features
+    # identical parameters (same seed drives the same batch stream) and trace rows
     bench = make_benchmark("COLORED_SHAPES", (150, 150, 150), 0)
     cfg = _cfg(dropout_rate=0.5, test_every=3)
     pooled = pool_environments(bench.train_envs)
     via_pool, pool_trace = train_erm([pooled], cfg, test_env=bench.test_env)
-
-    def no_stacking(*args, **kwargs):
-        raise AssertionError("train_erm stacked its datasets")
-
-    monkeypatch.setattr("eirm.baselines.pool_environments", no_stacking)
-    monkeypatch.setattr(np, "vstack", no_stacking)
     direct, trace = train_erm(bench.train_envs, cfg, test_env=bench.test_env)
-    monkeypatch.undo()
     for pa, pb in zip(direct.parameters(), via_pool.parameters(), strict=True):
         npt.assert_array_equal(pa, pb)
     assert len(trace.records) == cfg.max_iters

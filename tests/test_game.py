@@ -616,17 +616,15 @@ def test_narrowed_pool_rows_equal_a_full_width_pools():
     models["ROBUST"] = baselines.as_ensemble(baselines.train_robust_minmax(envs, cfg)[0])
     models["ERM"] = baselines.as_ensemble(baselines.train_erm(envs, cfg)[0])
     for name, model in models.items():
-        # ERM's two datasets are one player, its reference their vstack
-        players, ref_envs = envs, envs
-        if name == "ERM":
-            players, ref_envs = [envs], [baselines.pool_environments(envs)]
+        # ERM's one player is its two datasets pooled
+        players = [baselines.pool_environments(envs)] if name == "ERM" else envs
         narrowed = TraceRecorder(players, CROSS_ENTROPY, bench.test_env, 1)
         assert narrowed.features.shape[1] < width
         assert narrowed.features.shape[0] < 2 * envs[0].features.shape[0]
         assert narrowed.tail.shape[0] < bench.test_env.features.shape[0]
         rec, _ = narrowed.record(model, 1, "check")
-        ref = _full_width_row(model, ref_envs, bench.test_env)
-        _assert_rows_match(rec, ref, model, ref_envs, name)
+        ref = _full_width_row(model, players, bench.test_env)
+        _assert_rows_match(rec, ref, model, players, name)
 
 
 class _EvaluatedRecorder(TraceRecorder):
@@ -688,20 +686,6 @@ def test_lone_dataset_goes_through_the_pool(unslabbed):
     npt.assert_array_equal(pool[recorder.test_rows], test.features)
     assert np.shares_memory(recorder.targets, env.labels)
     assert np.shares_memory(recorder.bits, env.spurious_bits)
-
-
-def test_pooled_player_batches_equal_the_stacked_rows():
-    rng = Rng(3)
-    parts = [rng.normal(size=(n, 5)) for n in (7, 0, 12, 4)]
-    stacked = np.vstack(parts)
-    y = np.arange(stacked.shape[0])
-    pooled = game._Batcher(parts, y, 6, Rng(9))
-    plain = game._Batcher(stacked, y, 6, Rng(9))
-    for _ in range(10):  # 23 rows in batches of 6: three batches an epoch, then a reshuffle
-        (x, idx), (ref, ref_idx) = pooled.next(), plain.next()
-        npt.assert_array_equal(idx, ref_idx)  # the targets are the stacked row indices
-        assert x.tobytes() == ref.tobytes() == stacked[idx].tobytes()
-    assert not any(np.shares_memory(x, p) for p in parts)
 
 
 def _row_bytes(x):
@@ -810,7 +794,7 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
     bench = _small_bench(n=200)
     envs, test = bench.train_envs, bench.test_env
     width = test.features.shape[1]
-    for players in (envs, [envs]):  # the game's players, then ERM's pooled player
+    for players in (envs, [baselines.pool_environments(envs)]):  # the game's players, then ERM's
         recorder = TraceRecorder(players, CROSS_ENTROPY, test, 1)
         columns = recorder.features.columns
         assert recorder.tail.columns is columns

@@ -219,7 +219,7 @@ def test_elu_matches_masked_indexing_bit_for_bit():
     with np.errstate(invalid="ignore"):  # a dropped inf unit is NaN
         dropped = post * mask
     for p in (post, dropped):  # backward passes the post-dropout value
-        assert nn._activate_grad(pre, p).tobytes() == _masked_elu_grad(pre, p).tobytes()
+        assert nn._activate_grad(p).tobytes() == _masked_elu_grad(pre, p).tobytes()
 
 
 def test_loss_grad_logits_identity():

@@ -20,7 +20,8 @@ splits (`oracle_env`, `oracle_test`) of the desk benchmark of seeds 0-2: the
 bytes of the features, then the labels, then the spurious bits. Then it
 prints `sha256  pool_seed{S}_{player}` for the trace recorder's pool of the
 same benchmarks, as the game's players (F-IRM, V-IRM and ROBUST), ERM's
-pooled player and ORACLE's player pool it with their test splits: each
+player (`pool_environments` of the training environments) and ORACLE's
+player pool it with their test splits: each
 slab's column list (int64, or `all`) and bytes, training slabs then tail
 slabs, then `rows` and `test_rows` (int64, or `none`).
 Last it runs the paper preset's networks (hidden widths 390, V-IRM's
@@ -50,6 +51,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import numpy as np  # noqa: E402
 
 from eirm import cli, datasets  # noqa: E402
+from eirm.baselines import pool_environments  # noqa: E402
 from eirm.game import CROSS_ENTROPY, TerminationRule, TraceRecorder  # noqa: E402
 from eirm.sem_game import train_sem_game  # noqa: E402
 
@@ -142,7 +144,7 @@ def recorder_pools(out: str) -> list:
     for seed, bench in desk_benchmarks(out):
         players = {
             "game": (bench.train_envs, bench.test_env),
-            "erm": ([bench.train_envs], bench.test_env),
+            "erm": ([pool_environments(bench.train_envs)], bench.test_env),
             "oracle": ([bench.oracle_env], bench.oracle_test),
         }
         for name, (envs, test) in players.items():
