@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 
 from . import nn
-from .datasets import ColorEnvironment, EnvironmentDataset, PackedMasks
+from .datasets import ColorEnvironment, EnvironmentDataset, PackedMasks, SemEnvironment
 from .game import ROBUST, EnsembleModel, TerminationRule, TrainConfig, best_response_train
 
 
@@ -26,16 +26,21 @@ def pool_environments(datasets):
     """The datasets' rows in order as one dataset; a lone dataset is returned as it is.
 
     COLOR environments pool into one, their packed masks stacked, so no dense
-    row is built; other datasets' features are vstacked. train_erm trains on
-    the pooled dataset, and evaluation reads the pooled rows.
+    row is built; SEM environments into one SEM environment; other datasets'
+    features are vstacked. train_erm trains on the pooled dataset, and
+    evaluation reads the pooled rows.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
     if len(datasets) == 1:
         return datasets[0]
-    labels = np.concatenate([d.labels for d in datasets])
     bits = [getattr(d, "spurious_bits", None) for d in datasets]
     bits = np.concatenate(bits) if all(b is not None for b in bits) else None
+    if all(isinstance(d, SemEnvironment) for d in datasets):
+        targets = np.concatenate([d.targets for d in datasets])
+        return SemEnvironment(np.vstack([d.features for d in datasets]), targets,
+                              "pooled", float("nan"), bits)
+    labels = np.concatenate([d.labels for d in datasets])
     if all(isinstance(d, ColorEnvironment) for d in datasets):
         packed = PackedMasks.stacked([d.packed for d in datasets])
         return ColorEnvironment(packed, labels, bits, "pooled", float("nan"))

@@ -67,12 +67,17 @@ class PackedMasks:
 
     Indexing (an integer, a slice, an index or boolean array) unpacks only
     the rows read, as indexing the dense masks would; `shape` and `dtype`
-    are the dense masks'.
+    are the dense masks'. The bits past width must be 0.
     """
 
     bits: np.ndarray  # (n, ceil(width / 8)) uint8, first pixel in the high bit
     width: int
     dtype = np.dtype(np.uint8)
+
+    def __post_init__(self):
+        padding = (1 << -self.width % 8) - 1
+        if padding and np.any(self.bits[..., -1] & padding):
+            raise ValueError(f"packed rows set bits past width {self.width}")
 
     @classmethod
     def stacked(cls, parts) -> "PackedMasks":

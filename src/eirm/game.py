@@ -276,7 +276,7 @@ def _take(features, bounds, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-_BLOCK_ROWS = 512  # rows per block when the distinct pool is checked, grouped and filled
+_BLOCK_ROWS = 512  # rows per block when the distinct pool is found, grouped and filled
 
 
 def _blocks(features, idx: np.ndarray):
@@ -286,53 +286,34 @@ def _blocks(features, idx: np.ndarray):
         yield at, _take(features, bounds, idx[at : at + _BLOCK_ROWS])
 
 
-def _row_keys(x) -> np.ndarray:
-    """One number per row, the same for equal rows: the product with a fixed probe.
-
-    The probe holds integers below 2**40, so on integer-valued features (the
-    binary COLORED_SHAPES pixels) every sum is exact and equal rows get equal
-    keys whatever order BLAS adds in. Distinct rows may share a key; the
-    caller checks the grouping exactly. Rows are widened to float64
-    _BLOCK_ROWS at a time; a COLOR environment's from their unpacked masks,
-    each by its colour's channel of the probe, the same exact sum as its
-    dense row's.
-    """
-    probe = np.random.default_rng(0).integers(1, 2**40, size=x.shape[1]).astype(np.float64)
-    rows = getattr(x, "packed", x)
-    if rows is not x:  # one column per colour bit: 0 green (channel 1), 1 red (channel 0)
-        probe = np.stack([probe[1::3], probe[0::3]], axis=1)
-    keys = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _BLOCK_ROWS):
-        block = rows[lo : lo + _BLOCK_ROWS].astype(np.float64, copy=False) @ probe
-        if rows is not x:
-            block = np.take_along_axis(block, x.spurious_bits[lo : lo + block.shape[0], None], 1)[:, 0]
-        keys[lo : lo + block.shape[0]] = block
-    return keys
-
-
 def _distinct_rows(features):
     """(keep, rows): the first occurrence of each distinct row of the arrays end to end.
 
     keep ascends, and keep[rows] holds each row's first occurrence. Rows are
-    grouped by _row_keys and every repeat is checked against its first
-    occurrence bit for bit; if two distinct rows share a key, every row is kept.
+    equal exactly when their bytes are. A COLOR row's bytes are its packed
+    mask and then its colour bit, the bit set to 0 where no pixel is lit
+    (that dense row is zero in either colour), so no dense row is built;
+    while any source is not COLOR, every row's are its dense row's in the
+    sources' common dtype. The bytes are sorted once and each compared with
+    the one before it _BLOCK_ROWS at a time, so no sorted copy is made.
     """
-    keys = np.concatenate([_row_keys(x) for x in features])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    every = np.arange(keys.size)
-    if first.size == keys.size:
-        return every, every
-    order = np.argsort(first)
-    keep = first[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    rows = rank[inverse]
-    repeats = np.flatnonzero(keep[rows] != every)
-    pairs = zip(_blocks(features, keep[rows[repeats]]), _blocks(features, repeats))
-    if all(np.array_equal(original.view(np.uint8), repeat.view(np.uint8))
-           for (_, original), (_, repeat) in pairs):
-        return keep, rows
-    return every, every
+    if all(hasattr(x, "packed") for x in features):
+        bits = _joined([x.packed.bits for x in features])
+        colour = _joined([x.spurious_bits for x in features]) * bits.any(axis=1)
+        rows = np.hstack([bits, colour.astype(np.uint8)[:, None]])
+    else:
+        rows = _slab(features, np.arange(sum(x.shape[0] for x in features)), None)
+    rows = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]  # one per row
+    order = np.argsort(rows, kind="stable")  # equal rows in ascending position
+    new = np.ones(rows.size, bool)  # a sorted row unlike the one before it
+    for lo in range(1, rows.size, _BLOCK_ROWS):
+        at = order[lo : lo + _BLOCK_ROWS]
+        new[lo : lo + at.size] = rows[at] != rows[order[lo - 1 : lo - 1 + at.size]]
+    first = order[new]
+    keep = np.sort(first)
+    inverse = np.empty_like(order)
+    inverse[order] = np.searchsorted(keep, first)[np.cumsum(new) - 1]
+    return keep, inverse
 
 
 def _groups(features, keep: np.ndarray):
@@ -358,7 +339,9 @@ def _groups(features, keep: np.ndarray):
         rows = colour[at : at + block.shape[0]]
         lit |= [np.bitwise_or.reduce(block[rows == c], axis=0) for c in (0, 1)]
     pixels = [np.flatnonzero(on) for on in np.unpackbits(lit, axis=1, count=masks[0].width)]
-    present = sorted(np.unique(colour), key=lambda c: pixels[c][0] if pixels[c].size else math.inf)
+    # bincount, not np.unique, which would import numpy.ma on this call
+    present = sorted(np.flatnonzero(np.bincount(colour, minlength=2)),
+                     key=lambda c: pixels[c][0] if pixels[c].size else math.inf)
     group = colour if present[0] == 0 else 1 - colour
     return group, [(3 * pixels[c] + c, masks, pixels[c]) for c in present]
 
@@ -391,6 +374,7 @@ def _slab(features, idx: np.ndarray, columns) -> np.ndarray:
 def _distinct_pool(features, n: int):
     """Row sources end to end, each distinct row once, as per-group slabs.
 
+    Two rows are one pool row when their bytes are equal (_distinct_rows).
     Returns (train, tail, rows): the distinct rows of the first n rows, then
     (None if there are none) the later rows equal to no earlier one, group by
     group (_groups), in first-occurrence order, each slab cut to its group's
@@ -482,7 +466,10 @@ class TraceRecorder:
         last = self._runs.get(id(net))
         if (last is None or last[2] is not x or len(last[1]) != len(params)
                 or not all(map(np.array_equal, last[1], params))):
-            last = (net, [p.copy() for p in params], x, self._predict(net, x))
+            del last
+            self._runs.pop(id(net), None)  # the stale copies go before the pass, new ones after
+            out = self._predict(net, x)
+            last = (net, [p.copy() for p in params], x, out)
         runs[id(net)] = last
         return last[3]
 

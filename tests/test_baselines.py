@@ -7,7 +7,13 @@ import pytest
 from eirm import nn
 from eirm.baselines import as_ensemble, pool_environments, train_erm, train_robust_minmax
 from eirm.core import Rng
-from eirm.datasets import ColorEnvironment, EnvironmentDataset, make_benchmark
+from eirm.datasets import (
+    ColorEnvironment,
+    EnvironmentDataset,
+    SemEnvironment,
+    make_benchmark,
+    make_linear_sem,
+)
 from eirm.game import (
     CROSS_ENTROPY,
     FIXED_PHI,
@@ -20,6 +26,7 @@ from eirm.game import (
     build_ensemble,
     evaluate,
 )
+from eirm.sem_game import default_sem_spec
 
 
 def _cfg(**kw):
@@ -83,6 +90,24 @@ def test_erm_on_pooled_equals_erm_on_parts():
     assert [dataclasses.asdict(r) for r in trace.records] == [
         dataclasses.asdict(r) for r in pool_trace.records
     ]
+
+
+def test_erm_on_sem_environments_trains_on_them_vstacked():
+    envs, _ = make_linear_sem(default_sem_spec(120), Rng(0))
+    cfg = _cfg(loss=SQUARED, max_iters=10)
+    stacked = SemEnvironment(np.vstack([e.features for e in envs]),
+                             np.concatenate([e.targets for e in envs]), "stacked", 0.0)
+    pooled = pool_environments(envs)
+    assert isinstance(pooled, SemEnvironment) and pooled.spurious_bits is None
+    npt.assert_array_equal(pooled.features, stacked.features)
+    npt.assert_array_equal(pooled.targets, stacked.targets)
+    direct, trace = train_erm(envs, cfg)
+    via_stack, stack_trace = train_erm([stacked], cfg)
+    for pa, pb in zip(direct.parameters(), via_stack.parameters(), strict=True):
+        npt.assert_array_equal(pa, pb)
+    assert len(trace.records) == cfg.max_iters
+    npt.assert_array_equal([r.env_risks for r in trace.records],
+                           [r.env_risks for r in stack_trace.records])
 
 
 def test_erm_trace_owner_and_length():

@@ -275,6 +275,23 @@ def test_color_environment_packs_hand_built_masks():
             ColorEnvironment(bad, np.zeros(3, np.int64), bits, "bad", 0.1)
 
 
+def test_packed_masks_reject_bits_past_their_width():
+    # width 5 uses the high 5 bits of one byte; 0b10100111 would read as 0b10100000
+    ok = datasets.PackedMasks(np.array([[0b10100000], [0b11111000]], np.uint8), 5)
+    assert ok[:].tolist() == [[1, 0, 1, 0, 0], [1, 1, 1, 1, 1]]
+    for bad in (0b10100111, 0b00000001):
+        with pytest.raises(ValueError, match="width 5"):
+            datasets.PackedMasks(np.array([[0b10100000], [bad]], np.uint8), 5)
+    # 12 pixels: the second byte's low 4 bits are padding
+    datasets.PackedMasks(np.array([[0xFF, 0xF0]], np.uint8), 12)
+    with pytest.raises(ValueError, match="width 12"):
+        datasets.PackedMasks(np.array([[0xFF, 0xF8]], np.uint8), 12)
+    datasets.PackedMasks(np.zeros((0, 2), np.uint8), 12)  # no rows, nothing set
+    # masks packed on construction leave the padding 0
+    env = ColorEnvironment(np.ones((2, 12), np.uint8), np.zeros(2, np.int64), np.ones(2), "ones", 0.1)
+    assert env.packed.bits.tolist() == [[0xFF, 0xF0]] * 2
+
+
 def test_make_benchmark_builds_no_float64_copy(peak_bytes):
     benches = []
     peak = peak_bytes(lambda: benches.append(make_benchmark("COLORED_SHAPES", (2000, 2000, 2000), 0)))

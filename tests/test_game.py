@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import inspect
+import os
+import subprocess
 import sys
 import threading
 
@@ -580,29 +582,104 @@ def _full_width_row(model, envs, test_env):
     )
 
 
-def test_colliding_row_keys_keep_every_row(monkeypatch, unslabbed):
+def _hand_env(masks, bits, env_id):
+    masks = np.asarray(masks, np.uint8)
+    return ColorEnvironment(masks, np.zeros(len(masks), np.int64), np.asarray(bits), env_id, 0.5)
+
+
+def test_rows_are_one_pool_row_only_when_their_dense_rows_are_equal(unslabbed):
+    # 12 pixels: a packed row is 2 bytes, its last 4 bits padding
+    empty, shape = np.zeros(12, np.uint8), np.zeros(12, np.uint8)
+    shape[[2, 3, 11]] = 1
+    extra = shape.copy()
+    extra[7] = 1
+    train = _hand_env([empty, shape, shape, extra, empty, shape], [1, 1, 0, 1, 0, 1], "train")
+    test = _hand_env([empty, shape, extra, extra], [0, 0, 0, 1], "test")
+    recorder = TraceRecorder([train], CROSS_ENTROPY, test, 1)
+    # the red and the green empty rows share a pool row; a shape in red and
+    # in green, or with one pixel more, does not; later repeats map back
+    npt.assert_array_equal(recorder.rows[[0, 4]], recorder.rows[0])
+    npt.assert_array_equal(recorder.rows[[1, 5]], recorder.rows[1])
+    assert len({*recorder.rows[:4]}) == 4 and recorder.features.shape[0] == 4
+    npt.assert_array_equal(recorder.test_rows[[0, 1, 3]], recorder.rows[[0, 2, 3]])
+    assert recorder.tail.shape[0] == 1 and recorder.test_rows[2] == 4  # green extra is new
+    pool = np.vstack([unslabbed(recorder.features, 36), unslabbed(recorder.tail, 36)])
+    npt.assert_array_equal(pool[recorder.rows], train.features)
+    npt.assert_array_equal(pool[recorder.test_rows], test.features)
+    assert len(np.unique(pool, axis=0)) == pool.shape[0]
+
+
+def test_a_lone_dataset_without_repeats_keeps_its_order(unslabbed):
+    masks = np.eye(12, dtype=np.uint8)[:9] + np.eye(12, k=3, dtype=np.uint8)[:9]
+    env = _hand_env(masks, np.ones(9, np.int64), "red")
+    recorder = TraceRecorder([env], CROSS_ENTROPY, None, 1)
+    assert recorder.rows is None and recorder.tail is None
+    npt.assert_array_equal(unslabbed(recorder.features, 36), env.features)
+    dense = EnvironmentDataset(env.features, env.labels, env.spurious_bits, "dense", 0.5)
+    recorder = TraceRecorder([dense], CROSS_ENTROPY, None, 1)
+    assert recorder.rows is None
+    npt.assert_array_equal(unslabbed(recorder.features, 36), env.features)
+
+
+def test_recorder_builds_no_dense_color_row(monkeypatch):
     bench = _small_bench(n=200)
-    envs, test = bench.train_envs, bench.test_env.features
-    model, _ = best_response_train(envs, _small_cfg(max_iters=3, dropout_rate=0.5), FIXED_PHI)
-    ref = _full_width_row(model, envs, bench.test_env)
-    monkeypatch.setattr(game, "_row_keys", lambda x: np.zeros(x.shape[0]))
-    recorder = TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1)
-    full = np.vstack([env.features for env in envs])
-    assert recorder.features.shape[0] == full.shape[0] and recorder.tail.shape[0] == test.shape[0]
-    pool = np.vstack([unslabbed(recorder.features, 768), unslabbed(recorder.tail, 768)])
-    npt.assert_array_equal(np.sort(np.concatenate([recorder.rows, recorder.test_rows])),
-                           np.arange(pool.shape[0]))
-    npt.assert_array_equal(pool[recorder.rows], full)
-    npt.assert_array_equal(pool[recorder.test_rows], test)
-    rec, _ = recorder.record(model, 1, "check")
-    _assert_rows_match(rec, ref, model, envs, "colliding keys")
-    # so does a lone dataset whose keys all collide, still cut to the lit columns
-    lone = TraceRecorder([envs[0]], CROSS_ENTROPY, bench.test_env, 1)
-    rows = envs[0].features.shape[0]
-    assert lone.features.shape[0] == rows and lone.features.shape[1] < envs[0].features.shape[1]
-    pool = np.vstack([unslabbed(lone.features, 768), unslabbed(lone.tail, 768)])
-    npt.assert_array_equal(pool[lone.rows], envs[0].features)
-    npt.assert_array_equal(pool[lone.test_rows], test)
+    players = (bench.train_envs, [baselines.pool_environments(bench.train_envs)])
+
+    def dense(*_):
+        raise AssertionError("a dense COLOR row was built")
+
+    monkeypatch.setattr(ColorEnvironment, "__getitem__", dense)
+    recorders = [TraceRecorder(envs, CROSS_ENTROPY, bench.test_env, 1) for envs in players]
+    monkeypatch.undo()
+    full = np.vstack([env.features for env in bench.train_envs])
+    for recorder in recorders:
+        assert recorder.features.shape[0] == len(np.unique(full, axis=0)) < full.shape[0]
+
+
+def test_building_a_recorder_leaves_numpy_ma_unimported():
+    src = os.path.dirname(os.path.dirname(game.__file__))
+    # numpy before 2.0 imports numpy.ma itself; the build must not add it
+    code = (
+        "import sys\n"
+        "from eirm.datasets import make_benchmark\n"
+        "from eirm.game import CROSS_ENTROPY, TraceRecorder\n"
+        "bench = make_benchmark('COLORED_SHAPES', (100, 100, 100), 0)\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "TraceRecorder(bench.train_envs, CROSS_ENTROPY, bench.test_env, 1)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    before, after = done.stdout.split()
+    assert after == before
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        assert after == "False"
+
+
+def test_recorder_drops_a_moved_networks_copies_before_its_pass():
+    bench = _small_bench(n=60)
+    envs = bench.train_envs
+    model = build_ensemble(envs, _small_cfg(), FIXED_PHI, Rng(4))
+    recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
+    first, _ = recorder.record(model, 1, "init")
+    model.classifiers[1].layers[-1].bias[0] += 5.0
+    passes = []
+    predict = recorder._predict
+
+    def checked(net, x):
+        passes.append(id(net) in recorder._runs)
+        return predict(net, x)
+
+    recorder._predict = checked
+    moved, _ = recorder.record(model, 2, "check")
+    assert passes == [False]  # only the moved classifier ran, and its entry was gone
+    fresh, _ = TraceRecorder(envs, CROSS_ENTROPY, None, 10).record(model, 2, "check")
+    npt.assert_equal(dataclasses.asdict(moved), dataclasses.asdict(fresh))
+    assert moved.env_risks != first.env_risks
+    net, params, _, _ = recorder._runs[id(model.classifiers[1])]
+    assert net is model.classifiers[1]
+    assert all(map(np.array_equal, params, net.parameters()))
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():

@@ -24,13 +24,15 @@ player (`pool_environments` of the training environments) and ORACLE's
 player pool it with their test splits: each
 slab's column list (int64, or `all`) and bytes, training slabs then tail
 slabs, then `rows` and `test_rows` (int64, or `none`).
-Last it runs the paper preset's networks (hidden widths 390, V-IRM's
+Then it runs the paper preset's networks (hidden widths 390, V-IRM's
 representation 390 wide) for F-IRM, V-IRM, ERM, ROBUST and ORACLE on seed
 0 with sizes PAPER_SIZES into OUT_DIR/paper, so each colour slab of the
 trace pool spans several 672-row predict blocks: 1 game iteration and 3
 baseline steps, termination off and a test accuracy on every row. It
 prints `sha256  paper/name` for each of that run's trace CSVs and results
-tables.
+tables. Last it prints `sha256  pool_paper_seed0_{player}` for the trace
+pools of that run's benchmark, digested as the desk pools are, so the
+pool of slabs that span several predict blocks is checked directly.
 The eirm it runs is the one in `src/` of the checkout
 this file sits in, so the output of two checkouts that train, trace and
 certify alike is identical, and comparing them is one `diff`.
@@ -115,12 +117,14 @@ def sem_parameters() -> list:
     return lines
 
 
-def desk_benchmarks(out: str):
-    """Yields (seed, benchmark) for each desk seed, built as `eirm run` builds it."""
-    cfg = cli.load_config(os.path.join(out, "config.json"), preset="desk")
-    for seed in range(SEEDS):
+def benchmarks(out: str, preset: str = "desk", n_seeds: int = SEEDS):
+    """Yields (seed, benchmark) for each seed, built as `eirm run` with out's config builds it;
+    the paper preset's on sizes PAPER_SIZES, as run() sets them."""
+    cfg = cli.load_config(os.path.join(out, "config.json"), preset=preset)
+    sizes = PAPER_SIZES if preset == "paper" else cfg.sizes
+    for seed in range(n_seeds):
         yield seed, datasets.make_benchmark(
-            cfg.benchmark, cfg.sizes, seed, flip_probs=cfg.flip_probs,
+            cfg.benchmark, sizes, seed, flip_probs=cfg.flip_probs,
             height=cfg.height, width=cfg.width,
         )
 
@@ -128,7 +132,7 @@ def desk_benchmarks(out: str):
 def oracle_splits(out: str) -> list:
     """The digest of each desk seed's grayscale oracle splits."""
     lines = []
-    for seed, bench in desk_benchmarks(out):
+    for seed, bench in benchmarks(out):
         for name in ("oracle_env", "oracle_test"):
             split = getattr(bench, name)
             h = hashlib.sha256()
@@ -138,10 +142,11 @@ def oracle_splits(out: str) -> list:
     return lines
 
 
-def recorder_pools(out: str) -> list:
-    """The digest of each desk seed's trace pool, per kind of player."""
+def recorder_pools(out: str, preset: str = "desk", n_seeds: int = SEEDS,
+                   prefix: str = "pool_") -> list:
+    """The digest of each seed's trace pool, per kind of player."""
     lines = []
-    for seed, bench in desk_benchmarks(out):
+    for seed, bench in benchmarks(out, preset, n_seeds):
         players = {
             "game": (bench.train_envs, bench.test_env),
             "erm": ([pool_environments(bench.train_envs)], bench.test_env),
@@ -156,7 +161,7 @@ def recorder_pools(out: str) -> list:
                     h.update(block.tobytes())
             for rows in (recorder.rows, recorder.test_rows):
                 h.update(b"none" if rows is None else rows.astype(np.int64).tobytes())
-            lines.append(f"{h.hexdigest()}  pool_seed{seed}_{name}")
+            lines.append(f"{h.hexdigest()}  {prefix}seed{seed}_{name}")
     return lines
 
 
@@ -175,6 +180,7 @@ def main(argv) -> int:
     names = run(paper, "paper", PAPER_METHODS, 1, 3, max_iters=1, test_every=1,
                 termination=TerminationRule(enabled=False))
     print("\n".join(digests(paper, names, "paper/")))
+    print("\n".join(recorder_pools(paper, "paper", 1, "pool_paper_")))
     return 0
 
 
