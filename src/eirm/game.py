@@ -400,16 +400,57 @@ def _distinct_pool(features, n: int):
     return train, tail, None if in_order else at[rows]
 
 
-def _first_rows(net: nn.Mlp, columns) -> nn.Mlp:
-    """net with its first layer cut to the weight rows of the given input columns.
+def _row_order(x, n_rows: int):
+    """The first-layer weight rows of a snapshot for passes on x: each slab's
+    columns end to end, then every other row; None (in order) unless x is
+    Slabs cut to columns."""
+    if not isinstance(x, Slabs) or x.columns[0] is None:
+        return None
+    cut = np.concatenate(x.columns)
+    return np.concatenate([cut, np.setdiff1d(np.arange(n_rows), cut)])
 
-    The later layers are shared, not copied. Dropping an input column that is
-    zero in every row the cut net is fed changes each output by rounding only.
+
+def _snapshot(net: nn.Mlp, x) -> nn.Mlp:
+    """A copy of net for its passes on x, its first-layer weight rows in _row_order."""
+    order = _row_order(x, net.input_dim)
+    return nn.Mlp([replace(l, weights=l.weights.copy() if i or order is None else l.weights[order],
+                           bias=l.bias.copy()) for i, l in enumerate(net.layers)])
+
+
+def _unchanged(snapshot: nn.Mlp, net: nn.Mlp, x) -> bool:
+    """Whether net's parameters equal those of its snapshot for x, bit for bit.
+
+    The first layer's weight rows are compared in _row_order _BLOCK_ROWS at a
+    time, so no copy of them is made.
     """
-    if columns is None:
-        return net
-    first = net.layers[0]
-    return nn.Mlp([replace(first, weights=first.weights[columns]), *net.layers[1:]])
+    now, then = net.parameters(), snapshot.parameters()
+    if len(now) != len(then) or any(p.shape != q.shape for p, q in zip(now, then)):
+        return False
+    order = _row_order(x, net.input_dim)
+    if order is not None:
+        first, now, then = now[0], now[1:], then[1:]
+        if not all(np.array_equal(snapshot.layers[0].weights[lo : lo + _BLOCK_ROWS],
+                                  first[order[lo : lo + _BLOCK_ROWS]])
+                   for lo in range(0, order.size, _BLOCK_ROWS)):
+            return False
+    return all(map(np.array_equal, then, now))
+
+
+def _block_nets(snapshot: nn.Mlp, x) -> list:
+    """The net each block of x runs: for Slabs cut to columns, the snapshot
+    with its first layer cut to the slab's range of its weight rows, a view;
+    otherwise the snapshot.
+
+    Dropping an input column that is zero in every row a cut net is fed
+    changes each output by rounding only.
+    """
+    if not isinstance(x, Slabs):
+        return [snapshot]
+    if x.columns[0] is None:
+        return [snapshot] * len(x.blocks)
+    first, bounds = snapshot.layers[0], np.cumsum([0, *(c.size for c in x.columns)])
+    return [nn.Mlp([replace(first, weights=first.weights[lo:hi]), *snapshot.layers[1:]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _player_data(envs, loss: Loss) -> list:
@@ -426,12 +467,18 @@ class TraceRecorder:
     equals as `tail`, both Slabs that a network runs with the matching rows
     of its first layer's weights. `rows` and `test_rows` give each pooled
     training and test row's pool row (None when in order); outputs are
-    gathered back through them. A row reruns only the networks whose
-    parameters or input changed since the previous row; a test step runs
-    every network on `tail` alone. Each pass is one `nn.predict_parts` call,
-    made from these methods, not from a public game function, so profilers
-    see it as a direct child of the training call. `data` holds each
-    player's (row source, targets), as `_player_data` builds them.
+    gathered back through them. `data` holds each player's (row source,
+    targets), as `_player_data` builds them.
+
+    A row is made in two calls, so that its passes overlap the caller's
+    next turn. start() queues the row's passes on an nn.Passes, whose
+    helper thread runs them while the caller plays on; finish() joins them
+    and computes the row. A row reruns only the networks whose parameters
+    or input changed since the previous row, on copies of their parameters
+    (_snapshot), which the next row's check compares with and restore()
+    writes back; the other networks are neither copied nor rerun. A test
+    step runs every network on `tail` alone. record() is the two in a row.
+    The helper lives until close().
     """
 
     def __init__(self, envs, loss, test_env, test_every: int):
@@ -451,61 +498,96 @@ class TraceRecorder:
             self.rows, self.test_rows = rows[:n], rows[n:]
         self.test_targets = None if test_env is None else self.loss.targets(test_env)
         self.test_every = test_every
-        # id(net) -> (net, parameter copies, input, output); holding net keeps its id unique
+        # id(net) -> (net, snapshot, input, output); holding net keeps its id unique
         self._runs = {}
+        self._passes = nn.Passes()
+        self._row = None  # the started row: step, owner, classifier count, outputs, tail outputs
 
-    def _predict(self, net: nn.Mlp, x) -> np.ndarray:
-        """net's inference output on x; each block of Slabs runs with its columns' weight rows."""
-        parts = ([(_first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)]
-                 if isinstance(x, Slabs) else [(net, x)])
-        return nn.predict_parts(parts)
+    def _add(self, snapshot: nn.Mlp, x) -> np.ndarray:
+        """Queues the pass of a snapshot (_snapshot) on x."""
+        blocks = x.blocks if isinstance(x, Slabs) else [x]
+        return self._passes.add(list(zip(_block_nets(snapshot, x), blocks)))
 
-    def _output(self, net: nn.Mlp, x: np.ndarray, runs: dict) -> np.ndarray:
-        """net's inference output on x, reused from the previous row if neither changed."""
-        params = net.parameters()
+    def _queue(self, net: nn.Mlp, x, runs: dict) -> np.ndarray:
+        """net's output on x: the previous row's if neither changed, else a pass queued on a snapshot.
+
+        `features` and `tail` share their columns, so a snapshot for one runs on the other.
+        """
         last = self._runs.get(id(net))
-        if (last is None or last[2] is not x or len(last[1]) != len(params)
-                or not all(map(np.array_equal, last[1], params))):
+        if last is None or last[2] is not x or not _unchanged(last[1], net, x):
             del last
-            self._runs.pop(id(net), None)  # the stale copies go before the pass, new ones after
-            out = self._predict(net, x)
-            last = (net, [p.copy() for p in params], x, out)
+            self._runs.pop(id(net), None)  # the stale snapshot and output go before the new ones
+            snapshot = _snapshot(net, x)
+            last = (net, snapshot, x, self._add(snapshot, x))
         runs[id(net)] = last
         return last[3]
 
-    def _test_accuracy(self, model: EnsembleModel, pooled: list) -> float:
-        """Test accuracy from each classifier's outputs on features, then on tail."""
-        phi = model.representation
-        z = self.tail if phi is None else self._predict(phi, self.tail)
-        outs = [self._predict(clf, z) for clf in model.classifiers]
-        if self.test_rows is not None:
-            outs = [np.concatenate([p, o])[self.test_rows] for p, o in zip(pooled, outs)]
-        return self.loss.accuracy(sum(outs) / model.n_envs, self.test_targets)
+    def start(self, model: EnsembleModel, step: int, owner: str) -> None:
+        """Queues the passes of the row of the model's current state; the model may then move.
 
-    def record(self, model: EnsembleModel, step: int, owner: str, monitor=None):
-        """Returns (TraceRecord, whether monitor fired) for the model's current state."""
-        loss = self.loss
+        Classifier passes on the representation's output start once its
+        passes are done. A test step also queues every network on `tail`.
+        """
         runs = {}  # only this row's networks are kept for the next row
         phi = model.representation
-        z = self.features if phi is None else self._output(phi, self.features, runs)
-        pooled = [self._output(clf, z, runs) for clf in model.classifiers]
+        test = self.tail is not None and step % self.test_every == 0
+        z = z_tail = self.features if phi is None else self._queue(phi, self.features, runs)
+        if test:
+            z_tail = self.tail if phi is None else self._add(runs[id(phi)][1], self.tail)
+        if phi is not None:
+            self._passes.barrier()
+        pooled = [self._queue(clf, z, runs) for clf in model.classifiers]
+        tails = [self._add(runs[id(clf)][1], z_tail) for clf in model.classifiers] if test else None
         self._runs = runs
+        self._passes.start()
+        self._row = (step, owner, model.n_envs, pooled, tails)
+
+    def finish(self, monitor=None):
+        """Returns (TraceRecord, whether monitor fired) of the row start() queued.
+
+        The training figures are taken, and their gathered outputs dropped,
+        before the test rows are gathered.
+        """
+        step, owner, n, pooled, tails = self._row
+        self._row = None
+        self._passes.join()
+        loss = self.loss
         clf_outs = pooled if self.rows is None else [o[self.rows] for o in pooled]
-        out = sum(clf_outs) / model.n_envs
-        test_acc = None
-        if self.tail is not None and step % self.test_every == 0:
-            test_acc = self._test_accuracy(model, pooled)
-        rec = TraceRecord(
-            step,
-            owner,
+        out = sum(clf_outs) / n
+        figures = (
             loss.accuracy(out, self.targets),
             [loss.risk(out[sl], y) for sl, (_, y) in zip(self.slices, self.data)],
             loss.spurious_correlation(out, self.bits),
             [loss.spurious_correlation(o, self.bits) for o in clf_outs],
-            test_acc,
         )
-        fired = monitor is not None and monitor.observe(loss.monitored(out, self.targets), step)
-        return rec, fired
+        monitored = None if monitor is None else loss.monitored(out, self.targets)
+        del clf_outs, out
+        test_acc = None
+        if tails is not None:
+            if self.test_rows is not None:
+                tails = [np.concatenate([p, o])[self.test_rows] for p, o in zip(pooled, tails)]
+            test_acc = loss.accuracy(sum(tails) / n, self.test_targets)
+        rec = TraceRecord(step, owner, *figures, test_acc)
+        return rec, monitor is not None and monitor.observe(monitored, step)
+
+    def record(self, model: EnsembleModel, step: int, owner: str, monitor=None):
+        """start() then finish() for the model's current state; the helper is stopped after."""
+        self.start(model, step, owner)
+        try:
+            return self.finish(monitor)
+        finally:
+            self.close()
+
+    def restore(self, model: EnsembleModel) -> None:
+        """Writes the last started row's parameter snapshots back into the model's networks."""
+        for net, snapshot, x, _ in self._runs.values():
+            order = _row_order(x, net.input_dim)
+            for i, (p, q) in enumerate(zip(net.parameters(), snapshot.parameters())):
+                p[slice(None) if i or order is None else order] = q
+
+    def close(self) -> None:
+        """Stops the helper thread, if one runs."""
+        self._passes.close()
 
 
 class _Batcher:
@@ -733,6 +815,13 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     termination monitor fires, or when play runs out of iterations. The
     returned model is the state at termination, which is the low-correlation
     state the monitor is designed to catch.
+
+    Row t's passes run on the recorder's helper thread while turn t + 1 is
+    played (TraceRecorder.start, then finish). When row t fires, the
+    recorder writes row t's parameter snapshots back into the model, and an
+    exception raised by turn t + 1 is raised only if row t does not fire, so
+    the stop step, the returned parameters and the trace are those of
+    recording each row before the next turn.
     """
     model, turns = play(envs, config, mode, model)
     recorder = TraceRecorder(envs, config.loss, test_env, config.test_every)
@@ -741,10 +830,23 @@ def best_response_train(envs, config: TrainConfig, mode: str = FIXED_PHI,
     min_steps = rule.min_steps if rule.min_steps is not None else warm + rule.window
     monitor = (TerminationMonitor(rule.window, rule.quantile, min_steps, rule.threshold)
                if rule.enabled else None)
-    trace = TrainTrace()
-    for step, owner in enumerate(turns, 1):
-        rec, fired = recorder.record(model, step, trace_owner or owner, monitor)
-        trace.append(rec)
-        if fired:
-            break
+    trace, step, owner = TrainTrace(), 1, next(turns, None)
+    try:
+        while owner is not None:
+            recorder.start(model, step, trace_owner or owner)
+            error = None
+            try:
+                owner = next(turns, None)  # the next turn plays while this row's passes run
+            except Exception as exc:  # raised after this row, unless the row stops training
+                error, owner = exc, None
+            rec, fired = recorder.finish(monitor)
+            trace.append(rec)
+            if fired:
+                recorder.restore(model)
+                break
+            if error is not None:
+                raise error
+            step += 1
+    finally:
+        recorder.close()
     return model, trace

@@ -156,123 +156,226 @@ def _input(net: Mlp, batch: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_BYTES = 2 << 20  # one layer output of a predict block: about 2 MiB
+_SHARED_BLOCK_ROWS = 512  # a shared pass's block of a net whose _BLOCK_BYTES hold over twice as many
 
 
-def _block_rows(net: Mlp) -> int:
-    """Rows of one predict block: its widest float64 layer output takes about _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
+def _block_rows(net: Mlp, shared: bool = False) -> int:
+    """Rows of one predict block: as many as make its widest float64 layer
+    output take about _BLOCK_BYTES (672 at width 390, 4096 at the desk width
+    64). A pass that two threads share (shared) cuts a net for which that is
+    more than twice _SHARED_BLOCK_ROWS at _SHARED_BLOCK_ROWS instead, so a
+    desk pass is several blocks and each widened block stays small.
+
+    At width 64 a product cut every 512 rows has the bits of the uncut
+    product, and one cut every 672 rows need not (OpenBLAS 0.3, Haswell
+    kernels): a cut at a multiple of 64 rows keeps them there.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, *(l.out_dim for l in net.layers))))
+    return _SHARED_BLOCK_ROWS if shared and rows > 2 * _SHARED_BLOCK_ROWS else rows
 
 
 def _predict_block(net: Mlp, x: np.ndarray, work=None) -> np.ndarray:
     """forward(net, x)[0], keeping no layer outputs.
 
-    work, if given, is a work set of _run_blocks: two flat float64 buffers of
-    at least x's rows times the widest layer output, for the layer outputs,
-    and one into which x is widened if it is not float64. The result is then
-    a view of a work buffer; the values are the same either way.
+    work, if given, is a work set of Passes: two flat float64 buffers for the
+    layer outputs, each of at least x's rows times the widest layer output;
+    if x is not float64 it is widened into the second, which must then hold
+    x's size as well, and which the first layer overwrites only after its
+    product has read x. The result is then a view of a work buffer; the
+    values are the same either way.
     """
     if work is not None and x.dtype != np.float64:
-        wide = work[2][: x.size].reshape(x.shape)
+        wide = work[1][: x.size].reshape(x.shape)
         wide[...] = x
         x = wide
     x = x.astype(np.float64, copy=False)
     pre = post = None
     for layer in net.layers:
         if work is not None:
-            pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work[:2])
+            pre, post = (w[: x.shape[0] * layer.out_dim].reshape(x.shape[0], -1) for w in work)
         x = np.matmul(x, layer.weights, out=pre)
         x += layer.bias
         x = _activate(x, layer.activation, post)
     return x
 
 
-def _drain(blocks, work, errors: list) -> None:
-    """Runs each (net, block, out rows) taken from blocks into its out rows.
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
-    With a helper, the threads share one list iterator, whose next() is
-    atomic under the GIL. On an exception the iterator is emptied, so any
-    other thread stops after its current block, and the exception is kept in
-    errors for the caller to raise.
+
+class Passes:
+    """Inference passes run block by block, on a helper thread while the caller
+    does other work and on both threads once the caller joins.
+
+    add(parts) queues predict(net, x) of each (net, x) of parts, stacked, and
+    returns the array that holds it once join() returns. The nets of one pass
+    share every width but their inputs'. Each part is cut into blocks of
+    _block_rows (shared when there may be a helper), and every block runs
+    through _predict_block with a work set, so no output bit depends on the
+    thread that ran the block. Blocks
+    added after barrier() start only once every block added before it is
+    done, so a pass may read an earlier pass's output.
+
+    start() hands the queued blocks to the helper, which it starts on its
+    first call if helper is set and the process may use two CPUs; the helper
+    lives until close(). join() runs on the caller the blocks the helper has
+    not taken, waits for the helper's, and raises the first exception any
+    block raised; a block that raises empties the queue. Without a helper,
+    join() runs every block. The helper calls no public function and
+    allocates nothing: its work set (two layer outputs of one block, the
+    second also large enough for a widened block when an input is not
+    float64) is allocated by start() and kept until close(), the caller's by
+    join() when it takes its first block.
+    The queue holds one entry per part, not per block, so its memory does not
+    grow with the rows.
     """
-    try:
-        for net, x, out in blocks:
+
+    def __init__(self, helper: bool = True):
+        self._helper = helper
+        self._thread = None
+        self._cond = threading.Condition(threading.Lock())
+        self._pending = []  # added since the last start()
+        self._queue = []  # (net, x, out rows, block rows) per part; None is a barrier
+        self._part = self._row = 0  # the next block: its part, and its first row there
+        self._busy = 0  # blocks taken and not yet done
+        self._errors = []
+        self._need = (0, 0)  # work set of the largest block queued: layer, widened input
+        self._work = None  # the helper's work set
+        self._closed = False
+
+    def add(self, parts) -> np.ndarray:
+        """Queues predict of each (net, x) of parts, stacked; returns the output it fills."""
+        parts = [(net, _input(net, x)) for net, x in parts]
+        net = parts[0][0]
+        rows, sizes = _block_rows(net, self._helper), [x.shape[0] for _, x in parts]
+        out = np.empty((sum(sizes), net.output_dim))
+        widest = max(l.out_dim for l in net.layers)
+        layer, wide = self._need
+        for (cut, x), o in zip(parts, np.split(out, np.cumsum(sizes)[:-1])):
+            block = min(rows, x.shape[0])
+            layer = max(layer, block * widest)
+            if x.dtype != np.float64:
+                wide = max(wide, block * x.shape[1])
+            self._pending.append((cut, x, o, rows))
+        self._need = (layer, wide)
+        return out
+
+    def barrier(self) -> None:
+        """Blocks added after this start once every block added before it is done."""
+        self._pending.append(None)
+
+    def _work_set(self) -> tuple:
+        layer, wide = self._need
+        return np.empty(layer), np.empty(max(layer, wide))
+
+    def start(self) -> None:
+        """Hands the queued blocks to the helper, started if it is not running and may run."""
+        if self._helper and self._thread is None and _two_cpus():
+            self._thread = threading.Thread(target=self._serve, daemon=True)
+            self._thread.start()
+        layer, wide = self._need
+        if self._thread is not None and (self._work is None or self._work[0].size < layer
+                                         or self._work[1].size < wide):
+            self._work = self._work_set()
+        with self._cond:
+            self._queue += self._pending
+            self._cond.notify_all()
+        self._pending = []
+
+    def _take(self):
+        """The next block (net, x rows, out rows) that may start now, or None."""
+        while self._part < len(self._queue):
+            part = self._queue[self._part]
+            if part is None:
+                if self._busy:
+                    return None
+            else:
+                net, x, out, rows = part
+                at = self._row
+                if at < x.shape[0]:
+                    self._row += rows
+                    self._busy += 1
+                    return net, x[at : at + rows], out[at : at + rows]
+            self._part += 1
+            self._row = 0
+        return None
+
+    def _run(self, block, work) -> None:
+        net, x, out = block
+        error = None
+        try:
             out[...] = _predict_block(net, x, work)
-    except BaseException as exc:
-        errors.append(exc)
-        for _ in blocks:
-            pass
+        except BaseException as exc:
+            error = exc
+        with self._cond:
+            self._busy -= 1
+            if error is not None:
+                self._errors.append(error)
+                del self._queue[self._part :]  # no other block starts
+            self._cond.notify_all()
 
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                block = self._take()
+                while block is None and not self._closed:
+                    self._cond.wait()
+                    block = self._take()
+            if block is None:
+                return
+            self._run(block, self._work)
 
-def _run_blocks(parts, threads: int) -> np.ndarray:
-    """predict of each (net, x) of parts, stacked in order, block by block.
+    def join(self) -> None:
+        """Runs the blocks the helper has not taken here, waits for the rest; raises a block's error."""
+        self.start()
+        work = None
+        while True:
+            with self._cond:
+                block = self._take()
+                while block is None and self._busy:
+                    self._cond.wait()
+                    block = self._take()
+                if block is None:
+                    errors, self._errors = self._errors, []
+                    self._queue, self._part, self._row = [], 0, 0
+                    self._need = (0, 0)
+                    break
+            if work is None:
+                work = self._work_set()
+            self._run(block, work)
+        if errors:
+            raise errors[0]
 
-    The nets share every width but their inputs'. Each thread gets a work set
-    allocated here, so a helper allocates nothing (glibc would give it a malloc
-    arena of its own): two layer outputs, and a widened block if an input is
-    not float64. On one thread the blocks come from a generator, so memory
-    stays flat whatever the rows; helpers, which call no public function, share
-    a list. They are joined before this returns or raises, and an exception
-    from any thread is raised here.
-    """
-    net = parts[0][0]
-    rows, sizes = _block_rows(net), [x.shape[0] for _, x in parts]
-    out = np.empty((sum(sizes), net.output_dim))
-    widest = max(l.out_dim for l in net.layers)
-    wide = max((x.shape[1] for _, x in parts if x.dtype != np.float64), default=0)
-    works = [(np.empty(rows * widest), np.empty(rows * widest), np.empty(rows * wide))
-             for _ in range(threads)]
-    blocks = ((cut, x[at : at + rows], o[at : at + rows])
-              for (cut, x), o in zip(parts, np.split(out, np.cumsum(sizes)[:-1]))
-              for at in range(0, x.shape[0], rows))
-    if threads > 1:
-        blocks = iter(list(blocks))
-    errors = []
-    helpers = [threading.Thread(target=_drain, args=(blocks, work, errors)) for work in works[1:]]
-    for helper in helpers:
-        helper.start()
-    try:
-        _drain(blocks, works[0], errors)
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return out
+    def close(self) -> None:
+        """Stops the helper after its current block and drops its work set; queued blocks are dropped."""
+        if self._thread is not None:
+            with self._cond:
+                self._closed = True
+                del self._queue[self._part :]
+                self._cond.notify_all()
+            self._thread.join()
+        self._thread, self._work, self._closed = None, None, False
+        self._queue, self._pending, self._part, self._row = [], [], 0, 0
 
 
 def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     """The net's inference output, row blocks of forward(net, block)[0] stacked.
 
     Rows run in blocks whose widest float64 layer output takes about
-    _BLOCK_BYTES, so a block's layer outputs stay in cache: 4096 rows at
-    width 64, 672 at width 390. A batch of one block runs as it is; a longer
-    one runs on this thread alone with one work set per call, into which its
-    layer outputs go and, if it is not float64 (uint8 pixels), each block
-    widened: no float64 copy of the batch is made, and memory is not
-    allocated and returned to the system block by block.
+    _BLOCK_BYTES: 672 rows at width 390, 4096 at the desk width 64. A batch of one block runs as it is; a longer one runs
+    as Passes without a helper, on this thread with one work set per call,
+    into which its layer outputs go and, if it is not float64 (uint8 pixels),
+    each block widened: no float64 copy of the batch is made, and memory is
+    not allocated and returned to the system block by block.
     """
     x = _input(net, batch)
     if x.shape[0] <= _block_rows(net):
         return _predict_block(net, x)
-    return _run_blocks([(net, x)], 1)
-
-
-def predict_parts(parts) -> np.ndarray:
-    """predict(net, batch) of each (net, batch) of parts, stacked, with its bits.
-
-    The nets share every width but their inputs' (one net cut to each column
-    slab's weight rows). Parts of at most one block in all run through
-    predict. A longer pass is cut where predict cuts each batch; when the
-    process may use two CPUs, this thread and a helper take its blocks from
-    one queue. With BLAS on one thread that keeps both CPUs busy; with BLAS
-    on more, the two threads' BLAS calls contend for the CPUs.
-    """
-    parts = [(net, _input(net, batch)) for net, batch in parts]
-    if sum(x.shape[0] for _, x in parts) <= _block_rows(parts[0][0]):
-        outs = [predict(net, x) for net, x in parts]
-        return outs[0] if len(outs) == 1 else np.concatenate(outs)
-    two = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-    return _run_blocks(parts, 1 + two)
+    passes = Passes(helper=False)
+    out = passes.add([(net, x)])
+    passes.join()
+    return out
 
 
 def forward(net: Mlp, batch: np.ndarray, train_mode: bool = False, rng: Rng = None):
@@ -310,6 +413,20 @@ def loss_grad_logits(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return grad / probs.shape[0]
 
 
+_DECAY_BYTES = 1 << 19  # one row chunk of the L2 term: about 512 KiB
+
+
+def _add_decay(grad: np.ndarray, decay: float, weights: np.ndarray) -> None:
+    """grad += decay * weights, a row chunk of about _DECAY_BYTES at a time, so
+    no temporary of the weights' size is made; the values are the same."""
+    if weights.nbytes <= _DECAY_BYTES:
+        grad += decay * weights
+        return
+    rows = max(1, _DECAY_BYTES // (8 * weights.shape[1]))
+    for lo in range(0, weights.shape[0], rows):
+        grad[lo : lo + rows] += decay * weights[lo : lo + rows]
+
+
 def backward(net: Mlp, cache: list, dlogits: np.ndarray, input_grad: bool = False):
     """Backpropagate dlogits; returns (grads, dinput).
 
@@ -334,7 +451,7 @@ def backward(net: Mlp, cache: list, dlogits: np.ndarray, input_grad: bool = Fals
         if layer.activation != "linear":
             d = d * _activate_grad(c["post"])
         grads[2 * i] = c["x"].T @ d
-        grads[2 * i] += 2.0 * layer.l2_coeff * layer.weights
+        _add_decay(grads[2 * i], 2.0 * layer.l2_coeff, layer.weights)
         grads[2 * i + 1] = d.sum(axis=0)
         d = d @ layer.weights.T if i > 0 or input_grad else None
     return grads, d
@@ -358,22 +475,47 @@ class AdamState:
         return st
 
 
+_ADAM_TEMPORARIES = 1 << 15  # a parameter of fewer elements updates through temporaries
+
+
 def adam_step(state: AdamState, params: list, grads: list) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place.
+
+    Per parameter p with gradient g it computes m = b1 m + (1 - b1) g,
+    v = b2 v + (1 - b2) g g and p -= lr (m / corr1) / (sqrt(v / corr2) + eps),
+    each operation in that order. A parameter of _ADAM_TEMPORARIES elements
+    or more is updated through two arrays of its size, so a step holds no
+    more than those two; a smaller one through numpy's temporaries, which
+    cost less there. The values are the same either way.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("parameter/gradient/state lengths differ")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError("gradient shape does not match parameter")
         m *= b1
-        m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+        if p.size < _ADAM_TEMPORARIES:
+            m += (1.0 - b1) * g
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+            continue
+        a = np.multiply(1.0 - b1, g)
+        m += a
+        np.multiply(1.0 - b2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, corr1, out=a)
+        a *= lr  # lr * (m / corr1): the product is the same either way round
+        b = np.divide(v, corr2)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p -= a
 
 
 def regularization_loss(net: Mlp) -> float:

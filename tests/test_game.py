@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import inspect
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -439,7 +441,10 @@ def test_sem_game_rejects_an_enabled_termination_rule(monkeypatch):
 
 
 class _CheckedRecorder(TraceRecorder):
-    """Checks every row against a freshly built recorder's row for the same state."""
+    """Checks every row against a freshly built recorder's row for the same state.
+
+    best_response_train plays the next turn between start and finish, so the
+    state is copied when the row starts."""
 
     rows = 0
 
@@ -447,9 +452,13 @@ class _CheckedRecorder(TraceRecorder):
         super().__init__(*args)
         self.args = args
 
-    def record(self, model, step, owner, monitor=None):
-        rec, fired = super().record(model, step, owner, monitor)
-        fresh, _ = TraceRecorder(*self.args).record(model, step, owner)
+    def start(self, model, step, owner):
+        super().start(model, step, owner)
+        self.started = (copy.deepcopy(model), step, owner)
+
+    def finish(self, monitor=None):
+        rec, fired = super().finish(monitor)
+        fresh, _ = TraceRecorder(*self.args).record(*self.started)
         npt.assert_equal(dataclasses.asdict(rec), dataclasses.asdict(fresh))
         _CheckedRecorder.rows += 1
         return rec, fired
@@ -473,7 +482,7 @@ def test_recorder_rows_equal_a_fresh_recorders(monkeypatch):
 
 
 def _count_forward_rows(monkeypatch):
-    """Rows run through nn.forward or nn.predict until monkeypatch.undo()."""
+    """Rows run through nn.forward or an nn.predict block until monkeypatch.undo()."""
     rows = []
 
     def counting(run):
@@ -482,7 +491,7 @@ def _count_forward_rows(monkeypatch):
             return run(net, batch, *args, **kwargs)
         return counted
 
-    for name in ("forward", "predict"):
+    for name in ("forward", "_predict_block"):
         monkeypatch.setattr(nn, name, counting(getattr(nn, name)))
     return rows
 
@@ -663,23 +672,48 @@ def test_recorder_drops_a_moved_networks_copies_before_its_pass():
     model = build_ensemble(envs, _small_cfg(), FIXED_PHI, Rng(4))
     recorder = TraceRecorder(envs, CROSS_ENTROPY, None, 10)
     first, _ = recorder.record(model, 1, "init")
-    model.classifiers[1].layers[-1].bias[0] += 5.0
+    still = recorder._runs[id(model.classifiers[0])][1]
+    moving = model.classifiers[1]
+    moving.layers[-1].bias[0] += 5.0
     passes = []
-    predict = recorder._predict
+    add = recorder._add
 
     def checked(net, x):
-        passes.append(id(net) in recorder._runs)
-        return predict(net, x)
+        passes.append((net, id(moving) in recorder._runs))
+        return add(net, x)
 
-    recorder._predict = checked
+    recorder._add = checked
     moved, _ = recorder.record(model, 2, "check")
-    assert passes == [False]  # only the moved classifier ran, and its entry was gone
+    net, snapshot, _, _ = recorder._runs[id(moving)]
+    # only the moved classifier ran, on its snapshot, and its old entry was gone
+    assert passes == [(snapshot, False)]
+    assert recorder._runs[id(model.classifiers[0])][1] is still  # an unmoved net is not copied again
     fresh, _ = TraceRecorder(envs, CROSS_ENTROPY, None, 10).record(model, 2, "check")
     npt.assert_equal(dataclasses.asdict(moved), dataclasses.asdict(fresh))
     assert moved.env_risks != first.env_risks
-    net, params, _, _ = recorder._runs[id(model.classifiers[1])]
-    assert net is model.classifiers[1]
-    assert all(map(np.array_equal, params, net.parameters()))
+    assert net is moving and snapshot is not moving
+    copied = game._snapshot(moving, recorder.features).parameters()
+    assert all(map(np.array_equal, snapshot.parameters(), copied))
+    moving.layers[0].weights[...] += 1.0  # a copy: it stays with the row's state
+    assert all(map(np.array_equal, snapshot.parameters(), copied))
+
+
+def test_a_snapshot_matches_its_net_only_while_every_parameter_does():
+    bench = _small_bench(n=60)
+    recorder = TraceRecorder(bench.train_envs, CROSS_ENTROPY, None, 10)
+    x = recorder.features
+    net = build_ensemble(bench.train_envs, _small_cfg(), FIXED_PHI, Rng(4)).classifiers[0]
+    snapshot = game._snapshot(net, x)
+    unlit = np.setdiff1d(np.arange(net.input_dim), np.concatenate(x.columns))
+    assert unlit.size and game._unchanged(snapshot, net, x)
+    # a weight row a slab reads, one no slab reads (its row sits past the slabs'), a bias
+    for p, at in ((net.layers[0].weights, (x.columns[-1][-1], 3)),
+                  (net.layers[0].weights, (unlit[0], 0)), (net.layers[-1].bias, 1)):
+        was = p[at]
+        p[at] = was + 1.0
+        assert not game._unchanged(snapshot, net, x), at
+        p[at] = was
+        assert game._unchanged(snapshot, net, x), at
 
 
 def test_narrowed_pool_rows_equal_a_full_width_pools():
@@ -705,7 +739,8 @@ def test_narrowed_pool_rows_equal_a_full_width_pools():
 
 
 class _EvaluatedRecorder(TraceRecorder):
-    """Checks every test accuracy against evaluate on the test split for the same state."""
+    """Checks every test accuracy against evaluate on the test split for the same state,
+    copied when the row starts."""
 
     checked = 0
 
@@ -713,10 +748,15 @@ class _EvaluatedRecorder(TraceRecorder):
         super().__init__(envs, loss, test_env, test_every)
         self.test_env = test_env
 
-    def record(self, model, step, owner, monitor=None):
-        rec, fired = super().record(model, step, owner, monitor)
+    def start(self, model, step, owner):
+        super().start(model, step, owner)
+        self.started = copy.deepcopy(model)
+
+    def finish(self, monitor=None):
+        rec, fired = super().finish(monitor)
         if rec.test_acc is not None:
-            assert rec.test_acc == evaluate(model, self.test_env)["accuracy"], (owner, step)
+            accuracy = evaluate(self.started, self.test_env)["accuracy"]
+            assert rec.test_acc == accuracy, (rec.turn_owner, rec.step)
             _EvaluatedRecorder.checked += 1
         return rec, fired
 
@@ -898,8 +938,8 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
     assert len(TraceRecorder(sem_envs, SQUARED, None, 1).features.blocks) == 1
 
 
-# A recorder pass of more than one nn.predict block is one nn.predict_parts
-# call, which runs on the caller and a helper thread when two CPUs may be used.
+# A recorder's passes run on an nn.Passes, whose helper thread starts when two
+# CPUs may be used and takes blocks as soon as a row starts.
 def _cpus(monkeypatch, cpus=(0, 1)):
     monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(cpus))
 
@@ -919,11 +959,17 @@ def _paper_width_recorder():
     return recorder, nets
 
 
+def _first_rows(net, columns):
+    """net with its first layer cut to the weight rows of the given input columns."""
+    first = net.layers[0]
+    return nn.Mlp([dataclasses.replace(first, weights=first.weights[columns]), *net.layers[1:]])
+
+
 def _per_slab_predict(net, x):
     """nn.predict on each slab with its columns' weight rows, end to end."""
     if not isinstance(x, game.Slabs):
         return nn.predict(net, x)
-    return np.vstack([nn.predict(game._first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)])
+    return np.vstack([nn.predict(_first_rows(net, c), b) for c, b in zip(x.columns, x.blocks)])
 
 
 def _passes(recorder, clf, phi, head):
@@ -931,6 +977,14 @@ def _passes(recorder, clf, phi, head):
     z = _per_slab_predict(phi, recorder.features)
     return [("features", clf, recorder.features), ("tail", clf, recorder.tail),
             ("phi", phi, recorder.features), ("dense", head, z)]
+
+
+def _run_pass(recorder, net, x):
+    """net's output on x from one recorder pass, started and joined as a row's are."""
+    out = recorder._add(game._snapshot(net, x), x)
+    recorder._passes.start()
+    recorder._passes.join()
+    return out
 
 
 def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monkeypatch):
@@ -969,16 +1023,49 @@ def test_a_multi_block_pass_on_two_threads_is_per_slab_predict_bit_for_bit(monke
         for (name, net, x), want in zip(passes, expected):
             helper_ran.clear()
             threads.clear()
-            public.clear()
-            got = recorder._predict(net, x)
+            got = _run_pass(recorder, net, x)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-            assert public == [("predict_parts", threading.main_thread())], name
+            assert public == [], name
             slabs = x.blocks if isinstance(x, game.Slabs) else [x]
             assert len(threads) == sum(-(-b.shape[0] // 672) for b in slabs), name  # each block once
             assert len(set(threads)) == 2, name
     finally:
         sys.setswitchinterval(interval)
+        recorder.close()
     assert threading.enumerate() == alive
+
+
+def test_a_pass_after_a_barrier_starts_once_the_passes_before_it_are_done(monkeypatch):
+    recorder, (_, phi, _) = _paper_width_recorder()
+    head = nn.make_mlp((390, 64, 64, 2), Rng(4))
+    z_want = _per_slab_predict(phi, recorder.features)
+    want = nn.predict(head, z_want)
+    _cpus(monkeypatch)
+    events = []  # (block started, of the head, on the caller)
+
+    def tracked(net, x, work=None):
+        on_main = threading.current_thread() is threading.main_thread()
+        events.append((True, net is head, on_main))
+        if not on_main and net is not head:
+            time.sleep(0.02)  # the caller runs out of representation blocks meanwhile
+        out = run(net, x, work)
+        events.append((False, net is head, on_main))
+        return out
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", tracked)
+    try:
+        z = recorder._add(game._snapshot(phi, recorder.features), recorder.features)
+        recorder._passes.barrier()
+        out = recorder._passes.add([(head, z)])
+        recorder._passes.start()
+        recorder._passes.join()
+    finally:
+        recorder.close()
+    assert z.tobytes() == z_want.tobytes() and out.tobytes() == want.tobytes()
+    heads = [is_head for _, is_head, _ in events]
+    assert heads == sorted(heads)  # every representation block ended before a head block started
+    assert {on_main for _, _, on_main in events} == {True, False}
 
 
 def test_a_helper_error_is_raised_after_the_helper_stops(monkeypatch, tmp_path):
@@ -987,7 +1074,7 @@ def test_a_helper_error_is_raised_after_the_helper_stops(monkeypatch, tmp_path):
     helper_ran, blocks = threading.Event(), []
 
     def failing(net, x, work=None):
-        if work is not None and len(work) == 3:  # a block of a two-thread pass
+        if work is not None:  # a block of a recorder pass
             if threading.current_thread() is threading.main_thread():
                 assert helper_ran.wait(30)
             else:
@@ -1013,26 +1100,92 @@ def _no_threads(*args, **kwargs):
     raise AssertionError("a helper thread was started")
 
 
-def test_no_helper_starts_on_desk_widths_or_one_cpu(monkeypatch):
+def _serial_train(envs, cfg, mode, test_env):
+    """best_response_train with each row recorded before the next turn is played."""
+    model, turns = game.play(envs, cfg, mode)
+    recorder = TraceRecorder(envs, cfg.loss, test_env, cfg.test_every)
+    rule = cfg.termination
+    monitor = (TerminationMonitor(rule.window, rule.quantile, rule.min_steps, rule.threshold)
+               if rule.enabled else None)
+    trace = TrainTrace()
+    for step, owner in enumerate(turns, 1):
+        rec, fired = recorder.record(model, step, owner, monitor)
+        trace.append(rec)
+        if fired:
+            break
+    return model, trace
+
+
+def _digests(model):
+    return [_params_digest(n) for n in [*model.classifiers, model.representation] if n]
+
+
+def test_two_and_one_cpu_runs_give_the_serial_rows_and_parameters(monkeypatch):
     bench = _small_bench(n=2000)
-    cfg = dataclasses.replace(_small_cfg(max_iters=5), hidden_dims=(64, 64),
-                              phi_hidden_dims=(64,), repr_dim=64)
-    runs = {}
-    for mode in (FIXED_PHI, VARIABLE_PHI):
-        model, trace = best_response_train(bench.train_envs, cfg, mode, test_env=bench.test_env)
-        runs[mode] = (model, [dataclasses.astuple(r) for r in trace.records])
+    cfg = dataclasses.replace(_small_cfg(max_iters=5, dropout_rate=0.5, test_every=3),
+                              hidden_dims=(64, 64), phi_hidden_dims=(64,), repr_dim=64)
+
+    def fires(step):  # quantile 1: the first row at min_steps fires
+        return dataclasses.replace(cfg, termination=TerminationRule(2, 1.0, min_steps=step))
+
+    # F-IRM stops on env0's row, V-IRM on phi's: turns by env1 and env0 are undone
+    runs = [(FIXED_PHI, cfg), (VARIABLE_PHI, cfg), (game.ROBUST, cfg),
+            (FIXED_PHI, fires(5)), (VARIABLE_PHI, fires(4))]
+    on_helper = []
+
+    def tracked(net, x, work=None):
+        on_helper.append(threading.current_thread() is not threading.main_thread())
+        return run(net, x, work)
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", tracked)
+    stopped_early = 0
+    for mode, c in runs:
+        want, want_trace = _serial_train(bench.train_envs, c, mode, bench.test_env)
+        rows = [dataclasses.astuple(r) for r in want_trace.records]
+        stopped_early += c.termination.enabled and len(rows) == c.termination.min_steps
+        for cpus in ((0, 1), (0,)):
+            with monkeypatch.context() as m:
+                _cpus(m, cpus)
+                if cpus == (0,):
+                    m.setattr(threading, "Thread", _no_threads)
+                on_helper.clear()
+                model, trace = best_response_train(bench.train_envs, c, mode, test_env=bench.test_env)
+            assert [dataclasses.astuple(r) for r in trace.records] == rows, (mode, cpus)
+            assert _digests(model) == _digests(want), (mode, cpus)
+            assert any(on_helper) == (cpus == (0, 1)), (mode, cpus)
+    assert stopped_early == 2  # both runs under the firing rule stop before their last turn
+    # one CPU: the paper-width passes run on the caller alone, bit for bit
     recorder, (clf, phi, head) = _paper_width_recorder()
     passes = _passes(recorder, clf, phi, head)
     expected = [_per_slab_predict(net, x).tobytes() for _, net, x in passes]
-    monkeypatch.setattr(threading, "Thread", _no_threads)
-    # every desk pass is one block: 4096 rows at width 64
-    _cpus(monkeypatch)
-    for mode, (model, records) in runs.items():
-        again, trace = best_response_train(bench.train_envs, cfg, mode, test_env=bench.test_env)
-        assert [dataclasses.astuple(r) for r in trace.records] == records, mode
-        nets = [*model.classifiers, *([model.representation] if model.representation else [])]
-        redone = [*again.classifiers, *([again.representation] if again.representation else [])]
-        assert [_params_digest(n) for n in redone] == [_params_digest(n) for n in nets], mode
     _cpus(monkeypatch, (0,))
-    got = [recorder._predict(net, x).tobytes() for _, net, x in passes]
-    assert got == expected
+    monkeypatch.setattr(threading, "Thread", _no_threads)
+    assert [_run_pass(recorder, net, x).tobytes() for _, net, x in passes] == expected
+
+
+def test_a_turn_past_the_stop_row_may_fail_without_failing_the_run(monkeypatch):
+    bench = _small_bench(n=200)
+
+    def cfg(min_steps):  # quantile 1: the first row at min_steps fires
+        return _small_cfg(max_iters=5, termination=TerminationRule(2, 1.0, min_steps=min_steps))
+
+    want, want_trace = _serial_train(bench.train_envs, cfg(4), FIXED_PHI, None)
+    assert len(want_trace.records) == 4
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:  # the turn played while row 4 runs
+            raise RuntimeError("turn 5 failed")
+        return turn(*args, **kwargs)
+
+    turn = game.env_turn
+    monkeypatch.setattr(game, "env_turn", failing)
+    model, trace = best_response_train(bench.train_envs, cfg(4), FIXED_PHI)
+    assert [dataclasses.astuple(r) for r in trace.records] == [
+        dataclasses.astuple(r) for r in want_trace.records]
+    assert _digests(model) == _digests(want)
+    calls.clear()
+    with pytest.raises(RuntimeError, match="turn 5"):  # row 4 does not stop this run
+        best_response_train(bench.train_envs, cfg(6), FIXED_PHI)

@@ -138,6 +138,31 @@ def test_desk_widths_run_as_one_block(monkeypatch):
     assert blocks == [rows, rows, 1]
 
 
+def test_a_shared_pass_cuts_desk_widths_in_512_row_blocks(monkeypatch):
+    blocks = []
+
+    def counted(net, x, *work):
+        blocks.append(x.shape[0])
+        return run(net, x, *work)
+
+    run = nn._predict_block
+    monkeypatch.setattr(nn, "_predict_block", counted)
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0})  # no helper starts
+    net = nn.make_mlp((392, 64, 64, 2), Rng(9))
+    assert nn._block_rows(net, shared=True) == 512
+    assert nn._block_rows(nn.make_mlp((392, 390, 2), Rng(9)), shared=True) == 672
+    assert nn._block_rows(nn.make_mlp((5, 1), Rng(9)), shared=True) == 512
+    # a desk pool of 4000 rows: seven blocks and a ragged one, each forward's rows bit for bit
+    x = Rng(11).normal(size=(4000, 392))
+    passes = nn.Passes()
+    out = passes.add([(net, x)])
+    passes.join()
+    passes.close()
+    stacked = np.vstack([nn.forward(net, x[lo : lo + 512])[0] for lo in range(0, 4000, 512)])
+    assert out.tobytes() == stacked.tobytes()
+    assert blocks == [512] * 7 + [4000 - 7 * 512]
+
+
 def _two_cpus_no_threads(monkeypatch):
     monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -145,27 +170,6 @@ def _two_cpus_no_threads(monkeypatch):
         raise AssertionError("a helper thread was started")
 
     monkeypatch.setattr(threading, "Thread", started)
-
-
-def test_predict_parts_of_one_block_runs_predict_per_part_on_the_caller(monkeypatch):
-    rows = _block_rows(390)
-    nets = [nn.make_mlp((9, 390, 2), Rng(13)), nn.make_mlp((4, 390, 2), Rng(14))]
-    pixels = (Rng(15).random((rows - 100, 9)) < 0.3).astype(np.uint8)
-    parts = [(nets[0], pixels), (nets[1], Rng(16).normal(size=(100, 4)))]
-    stacked = np.vstack([nn.predict(net, x) for net, x in parts])
-    _two_cpus_no_threads(monkeypatch)
-    calls = []
-
-    def logged(net, batch):
-        calls.append((net, batch.shape[0], threading.current_thread()))
-        return run(net, batch)
-
-    run = nn.predict
-    monkeypatch.setattr(nn, "predict", logged)
-    assert nn.predict_parts(parts).tobytes() == stacked.tobytes()  # one block in total
-    assert calls == [(net, x.shape[0], threading.main_thread()) for net, x in parts]
-    with pytest.raises(AssertionError, match="helper thread"):  # one row more is two blocks
-        nn.predict_parts([*parts, (nets[1], parts[1][1][:1])])
 
 
 def test_a_multi_block_predict_starts_no_thread(monkeypatch):
@@ -258,6 +262,18 @@ def test_backward_l2_term_is_analytic():
     npt.assert_allclose(grads[1], np.zeros(4))
 
 
+def test_a_wide_layers_l2_term_is_added_in_row_chunks_bit_for_bit(monkeypatch):
+    rng = Rng(20)
+    net = nn.make_mlp((800, 100, 2), rng.child("net"), l2_coeff=1e-3)
+    assert net.layers[0].weights.nbytes > nn._DECAY_BYTES  # so the first layer's term is chunked
+    out, cache = nn.forward(net, rng.child("x").normal(size=(32, 800)))
+    d = rng.child("d").normal(size=out.shape)
+    chunked, _ = nn.backward(net, cache, d)
+    monkeypatch.setattr(nn, "_DECAY_BYTES", net.layers[0].weights.nbytes)
+    whole, _ = nn.backward(net, cache, d)
+    assert [g.tobytes() for g in chunked] == [g.tobytes() for g in whole]
+
+
 def test_backward_input_gradient_only_when_asked():
     rng = Rng(8)
     x, _ = _toy_batch(rng, n=16)
@@ -316,6 +332,37 @@ def test_adam_converges_on_quadratic():
     for _ in range(500):
         nn.adam_step(state, [p], [2.0 * (p - 1.5)])
     npt.assert_allclose(p, [1.5], atol=1e-3)
+
+
+def test_adam_step_equals_the_plain_expression_bit_for_bit():
+    rng = Rng(19)
+    big = nn._ADAM_TEMPORARIES  # a parameter at the size that takes the two arrays, and smaller ones
+    params = [rng.normal(size=(big // 8, 8)), rng.normal(size=7), rng.normal(size=(7, 2))]
+    plain = [p.copy() for p in params]
+    state = nn.AdamState.for_params(params, lr=1e-2)
+    m, v = [np.zeros_like(p) for p in plain], [np.zeros_like(p) for p in plain]
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    for t in range(1, 6):
+        grads = [rng.child(f"g{t}").normal(scale=10.0 ** (k - 2), size=p.shape)
+                 for k, p in enumerate(params)]
+        nn.adam_step(state, params, grads)
+        corr1, corr2 = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, mk, vk in zip(plain, grads, m, v):
+            mk *= b1
+            mk += (1.0 - b1) * g
+            vk *= b2
+            vk += (1.0 - b2) * g * g
+            p -= state.lr * (mk / corr1) / (np.sqrt(vk / corr2) + eps)
+        for got, want in zip([*params, *state.m, *state.v], [*plain, *m, *v]):
+            assert got.tobytes() == want.tobytes(), t
+
+
+def test_adam_step_holds_two_arrays_of_the_largest_parameter(peak_bytes):
+    params = [np.ones((400, 300)), np.ones(300)]
+    grads = [np.full((400, 300), 0.5), np.full(300, 0.5)]
+    state = nn.AdamState.for_params(params)
+    nn.adam_step(state, params, grads)  # so one-time allocations are not counted
+    assert peak_bytes(lambda: nn.adam_step(state, params, grads)) < 2.1 * params[0].nbytes
 
 
 def test_adam_rejects_mismatched_grads():
