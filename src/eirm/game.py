@@ -407,7 +407,9 @@ def _row_order(x, n_rows: int):
     if not isinstance(x, Slabs) or x.columns[0] is None:
         return None
     cut = np.concatenate(x.columns)
-    return np.concatenate([cut, np.setdiff1d(np.arange(n_rows), cut)])
+    rest = np.ones(n_rows, dtype=bool)
+    rest[cut] = False  # not np.setdiff1d, which sorts: this runs twice a network a row
+    return np.concatenate([cut, np.flatnonzero(rest)])
 
 
 def _snapshot(net: nn.Mlp, x) -> nn.Mlp:
@@ -427,13 +429,13 @@ def _unchanged(snapshot: nn.Mlp, net: nn.Mlp, x) -> bool:
     if len(now) != len(then) or any(p.shape != q.shape for p, q in zip(now, then)):
         return False
     order = _row_order(x, net.input_dim)
-    if order is not None:
-        first, now, then = now[0], now[1:], then[1:]
-        if not all(np.array_equal(snapshot.layers[0].weights[lo : lo + _BLOCK_ROWS],
-                                  first[order[lo : lo + _BLOCK_ROWS]])
-                   for lo in range(0, order.size, _BLOCK_ROWS)):
-            return False
-    return all(map(np.array_equal, then, now))
+    if order is None:
+        return all(map(np.array_equal, then, now))
+    # the other parameters first: a network that moved has moved there too
+    return all(map(np.array_equal, then[1:], now[1:])) and all(
+        np.array_equal(snapshot.layers[0].weights[lo : lo + _BLOCK_ROWS],
+                       now[0][order[lo : lo + _BLOCK_ROWS]])
+        for lo in range(0, order.size, _BLOCK_ROWS))
 
 
 def _block_nets(snapshot: nn.Mlp, x) -> list:

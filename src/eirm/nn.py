@@ -8,6 +8,8 @@ state and the finite-difference checker both rely on.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -204,6 +206,50 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
+# OpenBLAS's thread-count getter under the names numpy's bundled build and a
+# system build export it.
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_getter():
+    """The thread-count getter of the OpenBLAS mapped into this process, or
+    None where none is found (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as f:  # address, perms, offset, device, inode, path
+            fields = (line.split(None, 5) for line in f)
+            paths = sorted({fs[5].strip() for fs in fields if len(fs) == 6 and "openblas" in fs[5]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # the loaded library itself: dlopen counts a second handle
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_GETTERS:
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return get
+    return None
+
+
+def _blas_threads() -> int:
+    """Threads the loaded BLAS runs a product on; 0 if that cannot be read."""
+    get = _blas_thread_getter()
+    return get() if get is not None else 0
+
+
+def _helper_may_run() -> bool:
+    """Whether a helper thread has a CPU of its own: this process may use two
+    CPUs and BLAS runs each product on one thread. With BLAS on more threads
+    (OpenBLAS's default is one per CPU) each product already uses the CPUs,
+    and a second caller slows both down; with a BLAS whose thread count
+    cannot be read, no helper starts either."""
+    return _two_cpus() and _blas_threads() == 1
+
+
 class Passes:
     """Inference passes run block by block, on a helper thread while the caller
     does other work and on both threads once the caller joins.
@@ -211,15 +257,15 @@ class Passes:
     add(parts) queues predict(net, x) of each (net, x) of parts, stacked, and
     returns the array that holds it once join() returns. The nets of one pass
     share every width but their inputs'. Each part is cut into blocks of
-    _block_rows (shared when there may be a helper), and every block runs
-    through _predict_block with a work set, so no output bit depends on the
-    thread that ran the block. Blocks
+    _block_rows, shared when a helper runs or would start, and every block
+    runs through _predict_block with a work set, so no output bit depends
+    on the thread that ran the block. Blocks
     added after barrier() start only once every block added before it is
     done, so a pass may read an earlier pass's output.
 
     start() hands the queued blocks to the helper, which it starts on its
-    first call if helper is set and the process may use two CPUs; the helper
-    lives until close(). join() runs on the caller the blocks the helper has
+    first call if helper is set and _helper_may_run(); the helper lives
+    until close(). join() runs on the caller the blocks the helper has
     not taken, waits for the helper's, and raises the first exception any
     block raised; a block that raises empties the queue. Without a helper,
     join() runs every block. The helper calls no public function and
@@ -248,7 +294,7 @@ class Passes:
         """Queues predict of each (net, x) of parts, stacked; returns the output it fills."""
         parts = [(net, _input(net, x)) for net, x in parts]
         net = parts[0][0]
-        rows, sizes = _block_rows(net, self._helper), [x.shape[0] for _, x in parts]
+        rows, sizes = _block_rows(net, self._sharing()), [x.shape[0] for _, x in parts]
         out = np.empty((sum(sizes), net.output_dim))
         widest = max(l.out_dim for l in net.layers)
         layer, wide = self._need
@@ -269,9 +315,13 @@ class Passes:
         layer, wide = self._need
         return np.empty(layer), np.empty(max(layer, wide))
 
+    def _sharing(self) -> bool:
+        """Whether a helper runs or would start now."""
+        return self._thread is not None or (self._helper and _helper_may_run())
+
     def start(self) -> None:
         """Hands the queued blocks to the helper, started if it is not running and may run."""
-        if self._helper and self._thread is None and _two_cpus():
+        if self._thread is None and self._sharing():
             self._thread = threading.Thread(target=self._serve, daemon=True)
             self._thread.start()
         layer, wide = self._need
@@ -419,9 +469,6 @@ _DECAY_BYTES = 1 << 19  # one row chunk of the L2 term: about 512 KiB
 def _add_decay(grad: np.ndarray, decay: float, weights: np.ndarray) -> None:
     """grad += decay * weights, a row chunk of about _DECAY_BYTES at a time, so
     no temporary of the weights' size is made; the values are the same."""
-    if weights.nbytes <= _DECAY_BYTES:
-        grad += decay * weights
-        return
     rows = max(1, _DECAY_BYTES // (8 * weights.shape[1]))
     for lo in range(0, weights.shape[0], rows):
         grad[lo : lo + rows] += decay * weights[lo : lo + rows]
@@ -475,18 +522,14 @@ class AdamState:
         return st
 
 
-_ADAM_TEMPORARIES = 1 << 15  # a parameter of fewer elements updates through temporaries
-
-
 def adam_step(state: AdamState, params: list, grads: list) -> None:
     """One bias-corrected Adam update, in place.
 
     Per parameter p with gradient g it computes m = b1 m + (1 - b1) g,
     v = b2 v + (1 - b2) g g and p -= lr (m / corr1) / (sqrt(v / corr2) + eps),
-    each operation in that order. A parameter of _ADAM_TEMPORARIES elements
-    or more is updated through two arrays of its size, so a step holds no
-    more than those two; a smaller one through numpy's temporaries, which
-    cost less there. The values are the same either way.
+    each operation in that order, through two arrays of the parameter's
+    size, so a step holds no more than those two; the values are those of
+    the expression written out with numpy's temporaries.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("parameter/gradient/state lengths differ")
@@ -499,11 +542,6 @@ def adam_step(state: AdamState, params: list, grads: list) -> None:
             raise ShapeError("gradient shape does not match parameter")
         m *= b1
         v *= b2
-        if p.size < _ADAM_TEMPORARIES:
-            m += (1.0 - b1) * g
-            v += (1.0 - b2) * g * g
-            p -= lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-            continue
         a = np.multiply(1.0 - b1, g)
         m += a
         np.multiply(1.0 - b2, g, out=a)

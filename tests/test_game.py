@@ -939,9 +939,11 @@ def test_colored_shapes_split_into_one_slab_per_colour(unslabbed):
 
 
 # A recorder's passes run on an nn.Passes, whose helper thread starts when two
-# CPUs may be used and takes blocks as soon as a row starts.
-def _cpus(monkeypatch, cpus=(0, 1)):
+# CPUs may be used and BLAS runs on one thread, and takes blocks as soon as a
+# row starts.
+def _cpus(monkeypatch, cpus=(0, 1), blas_threads=1):
     monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(cpus))
+    monkeypatch.setattr(nn, "_blas_threads", lambda: blas_threads)
 
 
 def _paper_width_recorder():
@@ -1144,16 +1146,19 @@ def test_two_and_one_cpu_runs_give_the_serial_rows_and_parameters(monkeypatch):
         want, want_trace = _serial_train(bench.train_envs, c, mode, bench.test_env)
         rows = [dataclasses.astuple(r) for r in want_trace.records]
         stopped_early += c.termination.enabled and len(rows) == c.termination.min_steps
-        for cpus in ((0, 1), (0,)):
+        # a helper on two CPUs; none on one CPU, or while BLAS runs on two threads
+        for cpus, blas_threads in (((0, 1), 1), ((0,), 1), ((0, 1), 2)):
+            helper = (cpus, blas_threads) == ((0, 1), 1)
             with monkeypatch.context() as m:
-                _cpus(m, cpus)
-                if cpus == (0,):
+                _cpus(m, cpus, blas_threads)
+                if not helper:
                     m.setattr(threading, "Thread", _no_threads)
                 on_helper.clear()
                 model, trace = best_response_train(bench.train_envs, c, mode, test_env=bench.test_env)
-            assert [dataclasses.astuple(r) for r in trace.records] == rows, (mode, cpus)
-            assert _digests(model) == _digests(want), (mode, cpus)
-            assert any(on_helper) == (cpus == (0, 1)), (mode, cpus)
+            case = (mode, cpus, blas_threads)
+            assert [dataclasses.astuple(r) for r in trace.records] == rows, case
+            assert _digests(model) == _digests(want), case
+            assert any(on_helper) == helper, case
     assert stopped_early == 2  # both runs under the firing rule stop before their last turn
     # one CPU: the paper-width passes run on the caller alone, bit for bit
     recorder, (clf, phi, head) = _paper_width_recorder()

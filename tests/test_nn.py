@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -147,24 +150,46 @@ def test_a_shared_pass_cuts_desk_widths_in_512_row_blocks(monkeypatch):
 
     run = nn._predict_block
     monkeypatch.setattr(nn, "_predict_block", counted)
-    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0})  # no helper starts
     net = nn.make_mlp((392, 64, 64, 2), Rng(9))
     assert nn._block_rows(net, shared=True) == 512
     assert nn._block_rows(nn.make_mlp((392, 390, 2), Rng(9)), shared=True) == 672
     assert nn._block_rows(nn.make_mlp((5, 1), Rng(9)), shared=True) == 512
-    # a desk pool of 4000 rows: seven blocks and a ragged one, each forward's rows bit for bit
+    # a desk pool of 4000 rows: with a helper, seven blocks and a ragged one, each
+    # forward's rows bit for bit; with none (one CPU, or BLAS on two threads), one block
     x = Rng(11).normal(size=(4000, 392))
-    passes = nn.Passes()
-    out = passes.add([(net, x)])
-    passes.join()
-    passes.close()
-    stacked = np.vstack([nn.forward(net, x[lo : lo + 512])[0] for lo in range(0, 4000, 512)])
-    assert out.tobytes() == stacked.tobytes()
-    assert blocks == [512] * 7 + [4000 - 7 * 512]
+    for cpus, blas_threads, cuts in (({0, 1}, 1, range(0, 4000, 512)), ({0}, 1, [0]),
+                                     ({0, 1}, 2, [0])):
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(nn, "_blas_threads", lambda: blas_threads)
+        blocks.clear()
+        passes = nn.Passes()
+        out = passes.add([(net, x)])
+        passes.join()
+        passes.close()
+        rows = 512 if len(cuts) > 1 else 4000
+        stacked = np.vstack([nn.forward(net, x[lo : lo + rows])[0] for lo in cuts])
+        assert out.tobytes() == stacked.tobytes(), (cpus, blas_threads)
+        assert sorted(blocks) == sorted(min(rows, 4000 - lo) for lo in cuts), (cpus, blas_threads)
+
+
+def test_blas_threads_reads_the_loaded_openblas():
+    code = "from eirm import nn; print(nn._blas_threads())"
+    read = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(nn.__file__)),
+                                              os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        read.append(int(proc.stdout))
+    # OpenBLAS runs on at most as many threads as the process has CPUs; 0: no
+    # OpenBLAS was found, and then no helper starts
+    assert read in ([1, min(2, len(os.sched_getaffinity(0)))], [0, 0])
 
 
 def _two_cpus_no_threads(monkeypatch):
     monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)  # so a helper may start
 
     def started(*args, **kwargs):
         raise AssertionError("a helper thread was started")
@@ -336,8 +361,7 @@ def test_adam_converges_on_quadratic():
 
 def test_adam_step_equals_the_plain_expression_bit_for_bit():
     rng = Rng(19)
-    big = nn._ADAM_TEMPORARIES  # a parameter at the size that takes the two arrays, and smaller ones
-    params = [rng.normal(size=(big // 8, 8)), rng.normal(size=7), rng.normal(size=(7, 2))]
+    params = [rng.normal(size=(4096, 8)), rng.normal(size=7), rng.normal(size=(7, 2))]
     plain = [p.copy() for p in params]
     state = nn.AdamState.for_params(params, lr=1e-2)
     m, v = [np.zeros_like(p) for p in plain], [np.zeros_like(p) for p in plain]

@@ -40,7 +40,7 @@ import numpy as np
 
 SEEDS = range(1131, 1141)  # draw new seeds for each comparison
 SECONDS = 20
-SPANS = ("nn.forward", "nn.predict", "nn.predict_parts", "game.evaluate")
+SPANS = ("nn.forward", "nn.predict", "game.evaluate")
 SIDES = ("parent", "change")
 RUN_COUNTS = ("rounds", "setup_samples")  # per-run entries of the machine line
 CLAIM_WON = 0.9  # share of pairs a claimed gain must win
