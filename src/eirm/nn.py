@@ -241,6 +241,40 @@ def _blas_threads() -> int:
     return get() if get is not None else 0
 
 
+# glibc's mallopt parameters (malloc.h) and the values _keep_freed_pages sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest on 64-bit systems
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _keep_freed_pages() -> bool:
+    """Sets the C library's allocator to keep freed memory in the process;
+    returns whether it could (False where the library has no mallopt, as
+    musl and macOS have not).
+
+    glibc's default thresholds follow the largest block freed so far: at the
+    desk width that is a 1.5 MiB widened batch, so memory above about 3 MiB
+    at the top of the heap goes back to the system on free, and a training
+    turn that frees more than that (a ROBUST turn holds two forwards) faults
+    it in again on the next turn: about 1,200 minor faults a turn. Here a
+    block under _MMAP_THRESHOLD comes from the heap and is reused, and the
+    heap's top is returned only past _TRIM_THRESHOLD. No value computed
+    changes. eirm.nn calls this once, on import.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # mallopt returns 1 on success; setting either turns glibc's dynamic thresholds off
+    done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD), mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)]
+    return all(done)
+
+
+_keep_freed_pages()
+
+
 def _helper_may_run() -> bool:
     """Whether a helper thread has a CPU of its own: this process may use two
     CPUs and BLAS runs each product on one thread. With BLAS on more threads
@@ -264,7 +298,7 @@ class Passes:
     done, so a pass may read an earlier pass's output.
 
     start() hands the queued blocks to the helper, which it starts on its
-    first call if helper is set and _helper_may_run(); the helper lives
+    first call if _helper_may_run(); the helper lives
     until close(). join() runs on the caller the blocks the helper has
     not taken, waits for the helper's, and raises the first exception any
     block raised; a block that raises empties the queue. Without a helper,
@@ -277,8 +311,7 @@ class Passes:
     grow with the rows.
     """
 
-    def __init__(self, helper: bool = True):
-        self._helper = helper
+    def __init__(self):
         self._thread = None
         self._cond = threading.Condition(threading.Lock())
         self._pending = []  # added since the last start()
@@ -317,7 +350,7 @@ class Passes:
 
     def _sharing(self) -> bool:
         """Whether a helper runs or would start now."""
-        return self._thread is not None or (self._helper and _helper_may_run())
+        return self._thread is not None or _helper_may_run()
 
     def start(self) -> None:
         """Hands the queued blocks to the helper, started if it is not running and may run."""
@@ -413,18 +446,18 @@ def predict(net: Mlp, batch: np.ndarray) -> np.ndarray:
     """The net's inference output, row blocks of forward(net, block)[0] stacked.
 
     Rows run in blocks whose widest float64 layer output takes about
-    _BLOCK_BYTES: 672 rows at width 390, 4096 at the desk width 64. A batch of one block runs as it is; a longer one runs
-    as Passes without a helper, on this thread with one work set per call,
-    into which its layer outputs go and, if it is not float64 (uint8 pixels),
-    each block widened: no float64 copy of the batch is made, and memory is
-    not allocated and returned to the system block by block.
+    _BLOCK_BYTES: 672 rows at width 390, 4096 at the desk width 64. A batch of
+    one block runs as it is; a longer one runs block by block into one
+    output, each block widened on its own if the batch is not float64 (uint8
+    pixels), so no float64 copy of the batch is made.
     """
     x = _input(net, batch)
-    if x.shape[0] <= _block_rows(net):
+    rows = _block_rows(net)
+    if x.shape[0] <= rows:
         return _predict_block(net, x)
-    passes = Passes(helper=False)
-    out = passes.add([(net, x)])
-    passes.join()
+    out = np.empty((x.shape[0], net.output_dim))
+    for lo in range(0, x.shape[0], rows):
+        out[lo : lo + rows] = _predict_block(net, x[lo : lo + rows])
     return out
 
 

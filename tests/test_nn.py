@@ -172,19 +172,78 @@ def test_a_shared_pass_cuts_desk_widths_in_512_row_blocks(monkeypatch):
         assert sorted(blocks) == sorted(min(rows, 4000 - lo) for lo in cuts), (cpus, blas_threads)
 
 
+def _python(code: str, blas_threads: str = "1") -> str:
+    """Standard output of code run in a fresh interpreter that imports this eirm."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(nn.__file__)),
+                                          os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_blas_threads_reads_the_loaded_openblas():
     code = "from eirm import nn; print(nn._blas_threads())"
-    read = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([os.path.dirname(os.path.dirname(nn.__file__)),
-                                              os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, check=True)
-        read.append(int(proc.stdout))
+    read = [int(_python(code, threads)) for threads in ("1", "2")]
     # OpenBLAS runs on at most as many threads as the process has CPUs; 0: no
     # OpenBLAS was found, and then no helper starts
     assert read in ([1, min(2, len(os.sched_getaffinity(0)))], [0, 0])
+
+
+_ROBUST_TURN_FAULTS = """
+import resource
+import numpy as np
+from eirm import nn
+from eirm.core import Rng
+from eirm.game import EnsembleModel, robust_turn
+
+rng = Rng(3)
+clf = nn.make_mlp((768, 64, 64, 2), rng.child("clf"), l2_coeff=1.25e-3, dropout_rate=0.1)
+model = EnsembleModel([clf])
+opt = nn.AdamState.for_params(clf.parameters(), lr=2.5e-3)
+batches = [((rng.child(f"x{e}").random((256, 768)) < 0.1).astype(np.uint8),
+            rng.child(f"y{e}").np.integers(0, 2, size=256)) for e in range(2)]
+
+def turns(first, n):
+    for s in range(first, first + n):
+        robust_turn(model, batches, opt, [rng.child(f"s{s}e{e}") for e in range(2)])
+
+turns(0, 2)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+turns(2, 20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not nn._keep_freed_pages(), reason="the C library has no mallopt")
+def test_a_desk_robust_turn_faults_no_pages_in_after_warm_up():
+    # a desk-width ROBUST turn (two 256-row uint8 batches of 768 columns, widths
+    # 64) frees more than glibc's default trim threshold settles at, and took
+    # about 1,200 minor faults a turn while freed pages went back to the system
+    faults = int(_python(_ROBUST_TURN_FAULTS))
+    assert faults < 50 * 20
+
+
+def test_without_mallopt_the_allocator_policy_does_nothing():
+    code = """
+import ctypes
+real = ctypes.CDLL
+
+def no_mallopt(name, *args, **kwargs):
+    return object() if name is None else real(name, *args, **kwargs)
+
+def no_handle(name, *args, **kwargs):
+    if name is None:
+        raise OSError("no handle on the C library")
+    return real(name, *args, **kwargs)
+
+ctypes.CDLL = no_mallopt
+import eirm
+from eirm import nn
+print(nn._keep_freed_pages())
+ctypes.CDLL = no_handle
+print(nn._keep_freed_pages())
+"""
+    assert _python(code).split() == ["False", "False"]
 
 
 def _two_cpus_no_threads(monkeypatch):

@@ -13,6 +13,9 @@ one at a time, so no two of them share the machine.
 OUT.json gets, per workload and end-to-end metric, every run's value with its
 seed, the side that ran first and the run's round and set-up sample counts;
 per side the median and quartiles; and the number of pairs the change won.
+Per workload it also gets every run's minor page faults (the faults of the
+run's processes, run.py and its workers, from `getrusage(RUSAGE_CHILDREN)`
+taken before and after the run) and their median per side.
 It also gets the failed-operation counts of every run, the machine line, and
 the traced runs' per-layer figures with the call counts and times of the
 SPANS functions, by calling function, from each traced run's first round.
@@ -33,12 +36,13 @@ import argparse
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 
 import numpy as np
 
-SEEDS = range(1131, 1141)  # draw new seeds for each comparison
+SEEDS = range(1141, 1151)  # draw new seeds for each comparison
 SECONDS = 20
 SPANS = ("nn.forward", "nn.predict", "game.evaluate")
 SIDES = ("parent", "change")
@@ -50,20 +54,24 @@ NOTE = (
     "its own checkout; 'first' names the side that ran first. Quartiles are numpy's "
     "linear-interpolation 25th and 75th percentiles. 'rounds' and 'setup_samples' are "
     "the counts from each run's machine line that its medians are taken over; the rest "
-    "of the machine line is the same in every run. 'worse_by' is the change's median "
+    "of the machine line is the same in every run. 'minor_faults' counts the faults of "
+    "every process of a run, set-up-only workers and imports included, so it grows with "
+    "the run's rounds. 'worse_by' is the change's median "
     "relative to the parent's, signed so that a positive value is worse."
 )
 
 
 def bench(checkout: str, workload: str, seed: int, trace: int) -> tuple:
-    """Runs perfbench in checkout; returns (machine line, result line)."""
+    """Runs perfbench in checkout; returns (machine line, result line, minor page faults)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd[1:])} in {checkout} exited with {proc.returncode}:\n{proc.stderr}")
     machine, result = proc.stdout.strip().splitlines()[-2:]
-    return json.loads(machine)["machine"], json.loads(result)
+    return json.loads(machine)["machine"], json.loads(result), faults
 
 
 def span_totals(checkout: str, workload: str) -> dict:
@@ -165,10 +173,11 @@ def main(argv) -> int:
     for w in (w["name"] for w in spec["workloads"]):
         runs = {m["name"]: {side: [] for side in SIDES} for m in metrics}
         operations = {side: [] for side in SIDES}
+        faults = {side: [] for side in SIDES}
         for i, seed in enumerate(SEEDS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for side in order:
-                line, result = bench(checkouts[side], w, seed, 0)
+                line, result, minor = bench(checkouts[side], w, seed, 0)
                 counts = {k: line.pop(k) for k in RUN_COUNTS}
                 if machine is None:
                     machine = line
@@ -179,6 +188,7 @@ def main(argv) -> int:
                     runs[m["name"]][side].append(
                         {**tag, "value": result["metrics"][m["name"]]["value"], **counts})
                 operations[side].append({**tag, **{k: result[k] for k in ("attempted", "failed", "correct")}})
+                faults[side].append({**tag, "value": minor, **counts})
                 print(f"{w} seed {seed} {side}: {json.dumps(result['metrics'])}", file=sys.stderr)
         workloads[w] = {
             "metrics": {
@@ -188,11 +198,14 @@ def main(argv) -> int:
                 for m in metrics
             },
             "operations": operations,
+            "minor_faults": {"runs": faults,
+                             "median": {side: float(np.median([r["value"] for r in faults[side]]))
+                                        for side in SIDES}},
         }
     traced, spans = [], {}
     for w in workloads:
         for side in SIDES:
-            _, result = bench(checkouts[side], w, SEEDS[0], 1)
+            _, result, _ = bench(checkouts[side], w, SEEDS[0], 1)
             traced.append({"workload": w, "seed": SEEDS[0], "side": side, "first": SIDES[0],
                            "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
             spans.setdefault(w, {})[side] = span_totals(checkouts[side], w)
